@@ -97,8 +97,8 @@ struct IntegrationSpec {
   /// child has no match) and `kUnion` edges (sibling fact shards —
   /// union-of-stars). A dimension referenced by several join edges is a
   /// *conformed dimension*: its columns appear once in the target and its
-  /// silo is integrated once. A single edge of any relationship runs the
-  /// pairwise pipeline. The graph must be connected and acyclic with one
+  /// silo is integrated once. A single edge of any relationship is a
+  /// pairwise integration. The graph must be connected and acyclic with one
   /// fact root and at most one parent per fact shard; violations return
   /// precise `kInvalidArgument` messages. When `edges` is set,
   /// `relationships` is ignored, `star_base` must be empty (the edge list
@@ -109,7 +109,7 @@ struct IntegrationSpec {
   /// **Flat form** (used when `edges` is empty). Ordered names of >= 2
   /// registered sources. The first entry is the base table (the running
   /// example's S1; the fact table of a star) unless `star_base` overrides
-  /// it. Two sources run the pairwise pipeline; three or more lower into a
+  /// it. Two sources lower into one pairwise edge; three or more into a
   /// star (base left-joined to each dimension).
   std::vector<std::string> sources;
 
@@ -264,33 +264,28 @@ class Amalur {
 
   /// Runs the automatic integration pipeline over the spec's graph. The
   /// spec's edge set (explicit, or lowered from the flat form) is validated
-  /// (connected, acyclic, one fact root), topologically ordered and
-  /// dispatched by shape:
+  /// (connected, acyclic, one fact root) and topologically ordered; then ONE
+  /// pipeline walks it for every shape: per-edge schema matching and key
+  /// discovery (a conformed dimension is matched against every parent),
+  /// target-schema synthesis (matched numeric columns merge into one target
+  /// column — across union edges too; source-private numeric columns carry
+  /// over once, however many parents reference their source; string columns
+  /// and surrogate keys serve as join evidence only), tgd generation, and
+  /// per-edge row matching (exact-key when a surrogate key was discovered,
+  /// fuzzy entity resolution otherwise). Only the derivation depends on the
+  /// shape:
   ///
-  ///  * **Pairwise** (one edge, any relationship): schema matching,
-  ///    target-schema synthesis (matched numeric columns merge into one
-  ///    target column; source-private numeric columns carry over; string
-  ///    columns and surrogate keys serve as join evidence only), tgd
-  ///    generation, row matching (exact-key when a surrogate key was
-  ///    discovered, fuzzy entity resolution otherwise), two-source
-  ///    metadata derivation.
-  ///  * **Star** (depth-1 left joins): per-dimension schema matching
-  ///    against the base discovers the join keys and
-  ///    `DiMetadata::DeriveStar` produces one indicator/mapping/redundancy
-  ///    triple per silo — the unchanged fast path.
-  ///  * **Snowflake** (chained left/inner joins): per-edge matching walks
-  ///    the dimension chains and `DiMetadata::DeriveGraph` composes the
-  ///    matchings so the factorized runtime sees one fan-out per silo;
-  ///    inner edges restrict the target row set through the composed
-  ///    indicator.
-  ///  * **Conformed snowflake** (a dimension with several join parents):
-  ///    the shared dimension is matched against every parent, appears once
-  ///    in the target schema, and merges its parent chains into one
-  ///    indicator.
-  ///  * **Union-of-stars** (`kUnion` edges between fact shards): shard
-  ///    columns matched across union edges merge into shared target
-  ///    columns, and the shards' row blocks stack into one target (a
-  ///    dimension may be shared between shards).
+  ///  * **Pairwise** (one edge, any relationship — full outer and
+  ///    many-to-many matchings included): `DiMetadata::Derive`, the
+  ///    two-source row layout of Figure 4; the mapping keeps the edge's
+  ///    relationship.
+  ///  * **Every other shape** — star, snowflake (chained left/inner joins),
+  ///    conformed snowflake (a dimension with several join parents),
+  ///    union-of-stars (`kUnion` edges between fact shards):
+  ///    `DiMetadata::DeriveGraph` composes the matchings so the factorized
+  ///    runtime sees one fan-out per silo, restricts target rows through
+  ///    inner edges and stacks shard blocks. The mapping is `kUnion` for
+  ///    union-of-stars and `kLeftJoin` otherwise.
   ///
   /// Edge artifacts (column matches, row matchings) are cached in the
   /// catalog per source pair; when `spec.name` is non-empty the whole
@@ -320,11 +315,6 @@ class Amalur {
   const Plan& Explain(const ModelHandle& model) const { return model.plan(); }
 
  private:
-  Result<IntegrationHandle> IntegratePair(const IntegrationSpec& spec);
-  Result<IntegrationHandle> IntegrateStar(const IntegrationSpec& spec);
-  Result<IntegrationHandle> IntegrateGraph(const IntegrationSpec& spec,
-                                           const IntegrationGraphPlan& plan);
-
   AmalurOptions options_;
   Catalog catalog_;
 };

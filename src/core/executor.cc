@@ -1,6 +1,7 @@
 #include "core/executor.h"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 
 #include "common/status.h"
@@ -168,6 +169,27 @@ Result<TrainOutcome> Executor::Run(const metadata::DiMetadata& metadata,
     }
   }
   outcome.seconds = stopwatch.ElapsedSeconds();
+  // Divergence guard, one for every strategy: a step size too large for the
+  // data's scale overflows the loss and then the weights, and NaN weights
+  // must not reach a model handle as a successful run.
+  const auto non_finite = [](double v) { return !std::isfinite(v); };
+  const std::vector<double>& losses = outcome.loss_history;
+  const auto bad_loss = std::find_if(losses.begin(), losses.end(), non_finite);
+  const double* weights = outcome.weights.data();
+  if (bad_loss != losses.end() ||
+      std::any_of(weights, weights + outcome.weights.size(), non_finite)) {
+    const bool loss_diverged = bad_loss != losses.end();
+    // 1-based; finite losses leave only the last iteration's update.
+    const size_t iteration =
+        loss_diverged ? static_cast<size_t>(bad_loss - losses.begin()) + 1
+                      : losses.size();
+    return Status::FailedPrecondition(
+        "training diverged under the ", ExecutionStrategyToString(plan.strategy),
+        " strategy: ", loss_diverged ? "the loss" : "the final weights",
+        " became non-finite at iteration ", iteration, " of ", losses.size(),
+        "; lower the learning rate (", request.gd.learning_rate,
+        ") or rescale the features");
+  }
   return outcome;
 }
 

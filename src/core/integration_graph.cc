@@ -199,10 +199,10 @@ Result<IntegrationGraphPlan> PlanIntegrationGraph(
   // The conformed-dimension *count* is not recorded on the plan: the single
   // source of truth is DiMetadata::num_shared_dimensions(), which
   // DeriveGraph derives from the same edge set. The shape IS re-derived
-  // here because the planner must dispatch before any metadata exists; the
-  // two classifications agree on every multi-edge graph by construction
-  // (DeriveGraph never sees single-edge specs — those route to the
-  // pairwise pipeline).
+  // here because the integration pipeline picks its derivation before any
+  // metadata exists: a single edge is pairwise (`DiMetadata::Derive`), every
+  // other shape goes to `DeriveGraph`, and the two classifications agree on
+  // every multi-edge graph by construction.
   plan.shape = edges.size() == 1 ? metadata::IntegrationShape::kPairwise
                : any_union       ? metadata::IntegrationShape::kUnionOfStars
                : shared_dimensions > 0

@@ -89,24 +89,13 @@ class DiMetadata {
                                    const std::vector<const rel::Table*>& tables,
                                    const rel::RowMatching& matching);
 
-  /// Derives metadata for an n-source *star* scenario (left joins from one
-  /// base/fact table to n−1 dimension tables — the generalization of
-  /// Table I's definitions the factorized-learning literature targets).
-  /// `tables[0]` is the base; `matchings[k-1]` relates base rows to
-  /// `tables[k]` rows and must be functional (each base row matches at most
-  /// one row per dimension; dimension rows may serve many base rows).
-  /// Target rows are the base rows in order.
-  static Result<DiMetadata> DeriveStar(
-      const integration::SchemaMapping& mapping,
-      const std::vector<const rel::Table*>& tables,
-      const std::vector<rel::RowMatching>& matchings);
-
   /// Derives metadata for a general integration *graph*: a DAG of sources
   /// rooted at `tables[0]` whose edges are joins (parent retained, child
   /// dimension; `kLeftJoin` keeps unmatched parent rows, `kInnerJoin` drops
-  /// them) or unions (sibling fact shards). Generalizes `DeriveStar` — a
-  /// pure depth-1 left-join tree produces bitwise-identical metadata — with
-  /// these derivations:
+  /// them) or unions (sibling fact shards). A *star* (left joins from one
+  /// base/fact table to depth-1 dimensions) is the simplest graph: each
+  /// dimension's indicator is its functional matching, and the target rows
+  /// are the base rows in order. Deeper graphs add these derivations:
   ///
   ///  * **Snowflake** (dimension-of-dimension chains): a sub-dimension's
   ///    indicator is the *composition* of the matchings along its chain —

@@ -1,6 +1,7 @@
 #include "relational/csv.h"
 
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -118,9 +119,20 @@ Result<Table> ReadCsv(std::istream& input, const std::string& table_name,
     AMALUR_RETURN_NOT_OK(
         table.AddColumn(Column(std::string(Trim(header[j])), types[j])));
   }
-  for (const auto& fields : rows) {
+  for (size_t r = 0; r < rows.size(); ++r) {
     std::vector<Value> row(width);
-    for (size_t j = 0; j < width; ++j) row[j] = ParseField(fields[j], types[j]);
+    for (size_t j = 0; j < width; ++j) {
+      row[j] = ParseField(rows[r][j], types[j]);
+      // strtod accepts "nan"/"inf"; a silo value no model can train on is
+      // the input's error, reported where it sits.
+      if (types[j] == DataType::kDouble && !row[j].is_null() &&
+          !std::isfinite(row[j].AsDouble())) {
+        return Status::InvalidArgument(
+            "row ", first_data_row + r + 1, ", column '",
+            table.column(j).name(), "': non-finite number '", rows[r][j],
+            "'");
+      }
+    }
     AMALUR_RETURN_NOT_OK(table.AppendRow(row));
   }
   return table;

@@ -98,7 +98,14 @@ TEST(SharedMutexTest, WriterExcludesReaders) {
 
   constexpr int kRounds = 5000;
   std::atomic<bool> stop{false};
+  // The writer starts only after the reader's first completed read, so a
+  // writer scheduled ahead of the reader cannot finish every round (and set
+  // `stop`) before the reader ever takes the shared lock.
+  std::atomic<bool> first_read_done{false};
   std::thread writer([&] {
+    while (!first_read_done.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
     for (int i = 1; i <= kRounds; ++i) {
       MutexLock lock(shared.mu);  // exclusive mode on the SharedMutex
       shared.a = i;
@@ -112,6 +119,7 @@ TEST(SharedMutexTest, WriterExcludesReaders) {
     SharedLock lock(shared.mu);
     EXPECT_EQ(shared.a, shared.b);
     ++reads;
+    first_read_done.store(true, std::memory_order_release);
   }
   writer.join();
   EXPECT_GT(reads, 0u);

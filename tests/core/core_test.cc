@@ -421,6 +421,24 @@ TEST(AmalurTest, IntegrationSpecValidation) {
   spec.sources = {"S1", "S2", "S3"};
   spec.relationships = {rel::JoinKind::kInnerJoin};
   EXPECT_TRUE(amalur.Integrate(spec).status().IsInvalidArgument());
+
+  // A union needs overlapping columns to merge, on two sources as on a
+  // graph: disjoint schemas are a precondition failure, not an empty match.
+  rel::Table unrelated("U");
+  ASSERT_TRUE(unrelated
+                  .AddColumn(rel::Column::FromDoubles("glucose",
+                                                      {1000.5, 1200.25}))
+                  .ok());
+  ASSERT_TRUE(
+      amalur.catalog()->RegisterSource({"U", unrelated, "", false}).ok());
+  spec.sources = {"S1", "U"};
+  spec.relationships = {rel::JoinKind::kUnion};
+  auto disjoint_union = amalur.Integrate(spec);
+  EXPECT_TRUE(disjoint_union.status().IsFailedPrecondition())
+      << disjoint_union.status();
+  EXPECT_NE(disjoint_union.status().message().find(
+                "a union edge needs overlapping columns"),
+            std::string::npos);
 }
 
 TEST(AmalurTest, GraphSpecValidationReportsPreciseErrors) {
@@ -737,6 +755,54 @@ TEST(ExecutorTest, FederatedLogisticUnimplemented) {
   Plan plan{ExecutionStrategy::kFederate, {}, ""};
   EXPECT_TRUE(
       executor.Run(*metadata, plan, request).status().IsUnimplemented());
+}
+
+TEST(ExecutorTest, DivergentTrainingFailsUnderEveryStrategy) {
+  // A step size far too large for the data's scale overflows the loss and
+  // then the weights. Every strategy — factorized, materialized, vertical
+  // and horizontal federated — must report that as a Status instead of
+  // returning NaN weights as a successful run.
+  rel::SnowflakeSpec snowflake_spec;
+  snowflake_spec.fact_rows = 200;
+  snowflake_spec.fact_features = 2;
+  snowflake_spec.level_rows = {20, 5};
+  snowflake_spec.level_features = {3, 2};
+  auto snowflake = factorized::DeriveSnowflakeMetadata(
+      rel::GenerateSnowflake(snowflake_spec));
+  ASSERT_TRUE(snowflake.ok()) << snowflake.status();
+  rel::UnionOfStarsSpec shards_spec;
+  shards_spec.fact_rows = 100;
+  shards_spec.dim_rows = 10;
+  auto shards = factorized::DeriveUnionOfStarsMetadata(
+      rel::GenerateUnionOfStars(shards_spec));
+  ASSERT_TRUE(shards.ok()) << shards.status();
+
+  TrainRequest request;
+  request.label_column = "y";
+  request.gd.learning_rate = 50.0;
+  request.gd.iterations = 200;
+  const std::vector<std::pair<const metadata::DiMetadata*, ExecutionStrategy>>
+      runs{{&*snowflake, ExecutionStrategy::kFactorize},
+           {&*snowflake, ExecutionStrategy::kMaterialize},
+           {&*snowflake, ExecutionStrategy::kFederate},
+           {&*shards, ExecutionStrategy::kFederate}};
+  Executor executor;
+  for (const auto& [metadata, strategy] : runs) {
+    auto outcome = executor.Run(*metadata, Plan{strategy, {}, ""}, request);
+    EXPECT_TRUE(outcome.status().IsFailedPrecondition())
+        << ExecutionStrategyToString(strategy) << ": " << outcome.status();
+    EXPECT_NE(outcome.status().message().find("non-finite at iteration"),
+              std::string::npos)
+        << outcome.status();
+  }
+
+  // The same data trains fine under a sane step size.
+  request.gd.learning_rate = 0.05;
+  for (const auto& [metadata, strategy] : runs) {
+    auto outcome = executor.Run(*metadata, Plan{strategy, {}, ""}, request);
+    EXPECT_TRUE(outcome.ok())
+        << ExecutionStrategyToString(strategy) << ": " << outcome.status();
+  }
 }
 
 TEST(StrategyNamesTest, AllRender) {

@@ -82,11 +82,19 @@ StarFixture MakeStar(size_t dim1_rows = 25, size_t dim2_rows = 50,
   return f;
 }
 
+/// The star's graph: depth-1 left-join edges from the base to each
+/// dimension.
+const std::vector<MetadataEdge> kStarEdges{{0, 1, rel::JoinKind::kLeftJoin},
+                                           {0, 2, rel::JoinKind::kLeftJoin}};
+
 TEST(StarMetadataTest, ThreeSourceShapes) {
   StarFixture f = MakeStar();
-  auto md = DiMetadata::DeriveStar(f.mapping, {&f.base, &f.dim1, &f.dim2},
-                                   f.matchings);
+  auto md = DiMetadata::DeriveGraph(f.mapping, {&f.base, &f.dim1, &f.dim2},
+                                    kStarEdges, f.matchings);
   ASSERT_TRUE(md.ok()) << md.status();
+  EXPECT_EQ(md->shape(), IntegrationShape::kStar);
+  EXPECT_EQ(md->num_shards(), 1u);
+  EXPECT_EQ(md->join_depth(), 1u);
   EXPECT_EQ(md->num_sources(), 3u);
   EXPECT_EQ(md->target_rows(), f.base.NumRows());
   EXPECT_EQ(md->target_cols(), 7u);
@@ -100,8 +108,8 @@ TEST(StarMetadataTest, ThreeSourceShapes) {
 
 TEST(StarMetadataTest, MaterializationMatchesJoinChain) {
   StarFixture f = MakeStar();
-  auto md = DiMetadata::DeriveStar(f.mapping, {&f.base, &f.dim1, &f.dim2},
-                                   f.matchings);
+  auto md = DiMetadata::DeriveGraph(f.mapping, {&f.base, &f.dim1, &f.dim2},
+                                    kStarEdges, f.matchings);
   ASSERT_TRUE(md.ok());
 
   // Relational reference: base ⋈ dim1 ⋈ dim2 projected onto the target.
@@ -123,8 +131,8 @@ TEST(StarMetadataTest, MaterializationMatchesJoinChain) {
 
 TEST(StarMetadataTest, FactorizedOpsMatchMaterializedOnThreeSources) {
   StarFixture f = MakeStar();
-  auto md = DiMetadata::DeriveStar(f.mapping, {&f.base, &f.dim1, &f.dim2},
-                                   f.matchings);
+  auto md = DiMetadata::DeriveGraph(f.mapping, {&f.base, &f.dim1, &f.dim2},
+                                    kStarEdges, f.matchings);
   ASSERT_TRUE(md.ok());
   factorized::FactorizedTable table(*md);
   la::DenseMatrix dense = table.Materialize();
@@ -147,8 +155,8 @@ TEST(StarMetadataTest, PartialMatchesLeaveNullPadding) {
     if (b % 2 == 0) partial.matched.emplace_back(b, d);
   }
   f.matchings[1] = partial;
-  auto md = DiMetadata::DeriveStar(f.mapping, {&f.base, &f.dim1, &f.dim2},
-                                   f.matchings);
+  auto md = DiMetadata::DeriveGraph(f.mapping, {&f.base, &f.dim1, &f.dim2},
+                                    kStarEdges, f.matchings);
   ASSERT_TRUE(md.ok());
   EXPECT_EQ(md->source(2).indicator.ContributedRows(), f.base.NumRows() / 2);
   la::DenseMatrix t = md->MaterializeTargetMatrix();
@@ -174,8 +182,8 @@ TEST(StarMetadataTest, OverlappingDimensionsGetRedundancyMasks) {
            "dim2", f.dim2.schema(), {{"w0", "z0"}, {"w1", "w0"}}}},
       target, {{0, "k1", 1, "k1"}, {0, "k2", 2, "k2"}});
   ASSERT_TRUE(mapping.ok()) << mapping.status();
-  auto md = DiMetadata::DeriveStar(*mapping, {&f.base, &f.dim1, &f.dim2},
-                                   f.matchings);
+  auto md = DiMetadata::DeriveGraph(*mapping, {&f.base, &f.dim1, &f.dim2},
+                                    kStarEdges, f.matchings);
   ASSERT_TRUE(md.ok());
   // dim2 is redundant on column z0 wherever dim1 also contributes.
   EXPECT_TRUE(md->source(2).redundancy.HasRedundancy());
@@ -190,15 +198,15 @@ TEST(StarMetadataTest, OverlappingDimensionsGetRedundancyMasks) {
 TEST(StarMetadataTest, Validation) {
   StarFixture f = MakeStar();
   // Wrong number of matchings.
-  EXPECT_TRUE(DiMetadata::DeriveStar(f.mapping, {&f.base, &f.dim1, &f.dim2},
-                                     {f.matchings[0]})
+  EXPECT_TRUE(DiMetadata::DeriveGraph(f.mapping, {&f.base, &f.dim1, &f.dim2},
+                                      kStarEdges, {f.matchings[0]})
                   .status()
                   .IsInvalidArgument());
   // Non-functional matching: one base row matched twice.
   auto broken = f.matchings;
   broken[0].matched.push_back(broken[0].matched[0]);
-  EXPECT_TRUE(DiMetadata::DeriveStar(f.mapping, {&f.base, &f.dim1, &f.dim2},
-                                     broken)
+  EXPECT_TRUE(DiMetadata::DeriveGraph(f.mapping, {&f.base, &f.dim1, &f.dim2},
+                                      kStarEdges, broken)
                   .status()
                   .IsFailedPrecondition());
 }

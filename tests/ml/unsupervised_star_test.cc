@@ -64,8 +64,10 @@ factorized::FactorizedTable MakeStarTable(uint64_t seed) {
   auto m1 = rel::MatchRowsOnKeys(base, dim1, {"k1"}, {"k1"});
   auto m2 = rel::MatchRowsOnKeys(base, dim2, {"k2"}, {"k2"});
   AMALUR_CHECK(m1.ok() && m2.ok()) << "matching";
-  auto md = metadata::DiMetadata::DeriveStar(*mapping, {&base, &dim1, &dim2},
-                                             {*m1, *m2});
+  auto md = metadata::DiMetadata::DeriveGraph(
+      *mapping, {&base, &dim1, &dim2},
+      {{0, 1, rel::JoinKind::kLeftJoin}, {0, 2, rel::JoinKind::kLeftJoin}},
+      {*m1, *m2});
   AMALUR_CHECK(md.ok()) << md.status();
   return factorized::FactorizedTable(std::move(*md));
 }

@@ -61,6 +61,27 @@ TEST(CsvTest, RaggedRowRejected) {
   EXPECT_TRUE(ReadCsv(input, "t").status().IsInvalidArgument());
 }
 
+TEST(CsvTest, NonFiniteNumbersRejected) {
+  // strtod parses these as doubles; the reader names the first one instead.
+  std::istringstream input("a,b\n1,nan\n2,inf\n");
+  auto table = ReadCsv(input, "t");
+  ASSERT_TRUE(table.status().IsInvalidArgument()) << table.status();
+  EXPECT_NE(table.status().message().find("row 2, column 'b'"),
+            std::string::npos)
+      << table.status();
+
+  std::istringstream negative("a\n1.5\n-INF\n");
+  EXPECT_NE(ReadCsv(negative, "t").status().message().find(
+                "row 3, column 'a': non-finite number '-INF'"),
+            std::string::npos);
+
+  // In a string column the same text is just a string.
+  std::istringstream strings("name\nNan\nSam\n");
+  auto names = ReadCsv(strings, "t");
+  ASSERT_TRUE(names.ok()) << names.status();
+  EXPECT_EQ(names->column(0).type(), DataType::kString);
+}
+
 TEST(CsvTest, EmptyInputRejected) {
   std::istringstream input("");
   EXPECT_TRUE(ReadCsv(input, "t").status().IsInvalidArgument());

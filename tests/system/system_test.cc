@@ -213,8 +213,9 @@ StarFixture MakeStar(size_t fact_rows, uint64_t seed) {
 }
 
 /// The hand-built derivation the facade must reproduce: explicit schema
-/// mapping, key-equality row matchings, DeriveStar — exactly what
-/// examples/star_schema.cpp did before the facade grew the n-ary path.
+/// mapping, key-equality row matchings, and the graph derivation over the
+/// star's depth-1 left-join edges — exactly what examples/star_schema.cpp
+/// did before the facade grew the n-ary path.
 metadata::DiMetadata HandBuiltMetadata(const StarFixture& fixture) {
   std::vector<std::string> target_names{"charge", "visits"};
   std::vector<integration::ColumnCorrespondence> fact_corr{
@@ -250,8 +251,9 @@ metadata::DiMetadata HandBuiltMetadata(const StarFixture& fixture) {
     AMALUR_CHECK(matching.ok()) << matching.status();
     matchings.push_back(std::move(matching).ValueOrDie());
   }
-  auto metadata = metadata::DiMetadata::DeriveStar(
+  auto metadata = metadata::DiMetadata::DeriveGraph(
       *mapping, {&fixture.fact, &fixture.patients, &fixture.clinics},
+      {{0, 1, rel::JoinKind::kLeftJoin}, {0, 2, rel::JoinKind::kLeftJoin}},
       matchings);
   AMALUR_CHECK(metadata.ok()) << metadata.status();
   return std::move(metadata).ValueOrDie();
@@ -272,8 +274,8 @@ void RegisterStarSources(core::Amalur* system, const StarFixture& fixture) {
 
 TEST(SystemTest, StarFacadeMatchesHandBuiltDerivation) {
   // The automatic n-ary pipeline must reproduce the hand-built star
-  // derivation: same target schema, same per-silo shapes, same materialized
-  // target matrix.
+  // derivation bitwise: same target schema, same per-silo indicators and
+  // mappings, same materialized target matrix.
   star::StarFixture fixture = star::MakeStar(300, 606);
   const metadata::DiMetadata reference = star::HandBuiltMetadata(fixture);
 
@@ -293,9 +295,14 @@ TEST(SystemTest, StarFacadeMatchesHandBuiltDerivation) {
   for (size_t k = 0; k < derived.num_sources(); ++k) {
     EXPECT_EQ(derived.source(k).data.rows(), reference.source(k).data.rows());
     EXPECT_EQ(derived.source(k).data.cols(), reference.source(k).data.cols());
+    EXPECT_EQ(derived.source(k).indicator.values(),
+              reference.source(k).indicator.values());
+    EXPECT_EQ(derived.source(k).mapping.values(),
+              reference.source(k).mapping.values());
   }
-  EXPECT_TRUE(derived.MaterializeTargetMatrix().ApproxEquals(
-      reference.MaterializeTargetMatrix()));
+  EXPECT_EQ(derived.MaterializeTargetMatrix().MaxAbsDiff(
+                reference.MaterializeTargetMatrix()),
+            0.0);
   // The named handle is reusable from the catalog, and the per-edge DI
   // metadata was cached under the source pairs.
   EXPECT_TRUE(system.catalog()->GetIntegration("visits-star").ok());
