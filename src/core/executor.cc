@@ -39,6 +39,12 @@ const char* TrainingTaskToString(TrainingTask task) {
 Result<TrainOutcome> Executor::Run(const metadata::DiMetadata& metadata,
                                    const Plan& plan,
                                    const TrainRequest& request) const {
+  // Every strategy would otherwise average over zero rows and report the
+  // resulting NaN loss as divergence.
+  if (metadata.target_rows() == 0) {
+    return Status::FailedPrecondition(
+        "the integration has no target rows; nothing to train on");
+  }
   const auto label_index =
       metadata.target_schema().IndexOf(request.label_column);
   if (!label_index.has_value()) {

@@ -1,9 +1,5 @@
 #include "factorized/factorized_table.h"
 
-#include <algorithm>
-#include <map>
-#include <unordered_map>
-
 #include "common/parallel_for.h"
 
 namespace amalur {
@@ -29,53 +25,11 @@ void FactorizedTable::BuildPlans(bool ignore_redundancy) {
   plans_.resize(metadata_.num_sources());
   for (size_t k = 0; k < metadata_.num_sources(); ++k) {
     const metadata::SourceMetadata& source = metadata_.source(k);
-
-    // Mapped (D_k column, target column) pairs in D_k order.
-    std::vector<size_t> all_dk_cols;
-    std::vector<size_t> all_t_cols;
-    for (size_t c = 0; c < source.mapping.target_cols(); ++c) {
-      const int64_t j = source.mapping.At(c);
-      if (j >= 0) {
-        all_dk_cols.push_back(static_cast<size_t>(j));
-        all_t_cols.push_back(c);
-      }
-    }
-
-    // Group contributing target rows by redundancy set id, deduplicating
-    // source rows within each class.
-    std::map<int32_t, RowClassPlan> classes;
-    std::map<int32_t, std::unordered_map<size_t, size_t>> unique_index;
-    for (size_t i = 0; i < metadata_.target_rows(); ++i) {
-      const int64_t s = source.indicator.At(i);
-      if (s < 0) continue;
-      const int32_t set_id =
-          ignore_redundancy ? -1 : source.redundancy.row_set(i);
-      RowClassPlan& plan = classes[set_id];
-      auto& index = unique_index[set_id];
-      const size_t source_row = static_cast<size_t>(s);
-      auto [it, inserted] =
-          index.try_emplace(source_row, plan.unique_source_rows.size());
-      if (inserted) plan.unique_source_rows.push_back(source_row);
-      plan.target_rows.push_back(i);
-      plan.target_to_unique.push_back(it->second);
-    }
-
-    // Fill allowed column pairs per class (full set minus the masked cols).
-    for (auto& [set_id, plan] : classes) {
-      if (set_id < 0) {
-        plan.dk_cols = all_dk_cols;
-        plan.t_cols = all_t_cols;
-      } else {
-        const std::vector<size_t>& masked =
-            source.redundancy.column_sets()[static_cast<size_t>(set_id)];
-        for (size_t p = 0; p < all_dk_cols.size(); ++p) {
-          if (!std::binary_search(masked.begin(), masked.end(), all_t_cols[p])) {
-            plan.dk_cols.push_back(all_dk_cols[p]);
-            plan.t_cols.push_back(all_t_cols[p]);
-          }
-        }
-      }
-      if (plan.dk_cols.empty()) continue;
+    for (metadata::RowClass& row_class :
+         source.RowClasses(ignore_redundancy)) {
+      metadata::ColumnPairs allowed = source.AllowedColumns(row_class.set_id);
+      if (allowed.dk_cols.empty()) continue;  // every column masked
+      RowClassPlan plan{std::move(row_class), std::move(allowed), {}, {}};
 
       // Reverse fan-out index (unique row -> its target rows, class order).
       plan.fanout_offsets.assign(plan.unique_source_rows.size() + 1, 0);
@@ -305,42 +259,17 @@ PartialScores FactorizedTable::ExtractPartialScores(
     const metadata::SourceMetadata& source = metadata_.source(k);
     const la::DenseMatrix& dk = source.data;
 
-    // Mapped (D_k column, target column) pairs in D_k order — the same
-    // construction (and therefore the same accumulation order) as
-    // BuildPlans, which is what makes ScoreRow bitwise-equal to the LMM.
-    std::vector<size_t> all_dk_cols;
-    std::vector<size_t> all_t_cols;
-    for (size_t c = 0; c < source.mapping.target_cols(); ++c) {
-      const int64_t j = source.mapping.At(c);
-      if (j >= 0) {
-        all_dk_cols.push_back(static_cast<size_t>(j));
-        all_t_cols.push_back(c);
-      }
-    }
-
     // One partial vector per masked-column set (index 0 = the all-ones
     // "nothing redundant" rows), covering every D_k row. The interned set
     // family is small, so an unreferenced (set, row) combination costs
-    // little and keeps lookups branch-free.
-    const std::vector<std::vector<size_t>>& sets =
-        source.redundancy.column_sets();
-    out.by_set_[k].resize(sets.size() + 1);
-    for (size_t si = 0; si <= sets.size(); ++si) {
-      std::vector<size_t> dk_cols;
-      std::vector<size_t> t_cols;
-      if (si == 0) {
-        dk_cols = all_dk_cols;
-        t_cols = all_t_cols;
-      } else {
-        const std::vector<size_t>& masked = sets[si - 1];
-        for (size_t p = 0; p < all_dk_cols.size(); ++p) {
-          if (!std::binary_search(masked.begin(), masked.end(),
-                                  all_t_cols[p])) {
-            dk_cols.push_back(all_dk_cols[p]);
-            t_cols.push_back(all_t_cols[p]);
-          }
-        }
-      }
+    // little and keeps lookups branch-free. The allowed pairs come from the
+    // same construction (and therefore the same accumulation order) as
+    // BuildPlans, which is what makes ScoreRow bitwise-equal to the LMM.
+    const size_t num_sets = source.redundancy.column_sets().size();
+    out.by_set_[k].resize(num_sets + 1);
+    for (size_t si = 0; si <= num_sets; ++si) {
+      const metadata::ColumnPairs allowed =
+          source.AllowedColumns(static_cast<int32_t>(si) - 1);
       std::vector<double>& partial = out.by_set_[k][si];
       partial.assign(dk.rows(), 0.0);
       out.cached_values_ += dk.rows();
@@ -349,10 +278,10 @@ PartialScores FactorizedTable::ExtractPartialScores(
             for (size_t r = r_begin; r < r_end; ++r) {
               const double* d_row = dk.RowPtr(r);
               double acc = 0.0;
-              for (size_t p = 0; p < dk_cols.size(); ++p) {
-                const double v = d_row[dk_cols[p]];
+              for (size_t p = 0; p < allowed.dk_cols.size(); ++p) {
+                const double v = d_row[allowed.dk_cols[p]];
                 if (v == 0.0) continue;
-                acc += v * target_weights.At(t_cols[p], 0);
+                acc += v * target_weights.At(allowed.t_cols[p], 0);
               }
               partial[r] = acc;
             }

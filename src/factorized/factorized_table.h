@@ -128,19 +128,13 @@ class FactorizedTable {
  private:
   friend class MorpheusReference;
 
-  /// One redundancy row class of one source: these target rows share the
-  /// same set of allowed (non-redundant) columns. Join fan-out is factored
-  /// out: compute happens once per *unique source row* of the class and is
-  /// then expanded to the class's target rows through the indicator — the
-  /// mechanism that makes factorized learning cheaper than materialization
-  /// on redundant targets.
-  struct RowClassPlan {
-    /// Distinct D_k rows used by this class.
-    std::vector<size_t> unique_source_rows;
-    /// Target rows of the class.
-    std::vector<size_t> target_rows;
-    /// Index into `unique_source_rows`, parallel to `target_rows`.
-    std::vector<size_t> target_to_unique;
+  /// One redundancy row class of one source (`SourceMetadata::RowClasses`)
+  /// with its allowed column pairs, plus the kernel-only reverse fan-out
+  /// index. Join fan-out is factored out: compute happens once per *unique
+  /// source row* of the class and is then expanded to the class's target
+  /// rows through the indicator — the mechanism that makes factorized
+  /// learning cheaper than materialization on redundant targets.
+  struct RowClassPlan : metadata::RowClass, metadata::ColumnPairs {
     /// Reverse fan-out index: for unique row u, the target rows it expands
     /// to are `fanout_targets[fanout_offsets[u] .. fanout_offsets[u+1])`, in
     /// class (ascending-row) order. Lets the transpose rewrites reduce over
@@ -148,12 +142,10 @@ class FactorizedTable {
     /// and the same floating-point accumulation order as the serial walk.
     std::vector<size_t> fanout_offsets;  // size unique_source_rows.size() + 1
     std::vector<size_t> fanout_targets;  // size target_rows.size()
-    /// Allowed (D_k column, target column) pairs for this class.
-    std::vector<size_t> dk_cols;
-    std::vector<size_t> t_cols;  // parallel to dk_cols
   };
 
-  /// Plans per source; built once at construction.
+  /// Plans per source, skipping classes with every column masked; built
+  /// once at construction.
   void BuildPlans(bool ignore_redundancy);
 
   metadata::DiMetadata metadata_;

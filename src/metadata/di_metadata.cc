@@ -83,6 +83,57 @@ Status FillSources(const integration::SchemaMapping& mapping,
 
 }  // namespace
 
+std::vector<RowClass> SourceMetadata::RowClasses(bool ignore_redundancy) const {
+  // Bucket the contributing target rows by set id: slot s holds id s − 1,
+  // so the slots visit the ids in ascending order.
+  const std::vector<int64_t>& ci = indicator.values();
+  std::vector<RowClass> slots(
+      ignore_redundancy ? 1 : redundancy.column_sets().size() + 1);
+  for (size_t i = 0; i < ci.size(); ++i) {
+    if (ci[i] < 0) continue;
+    const int32_t set_id = ignore_redundancy ? -1 : redundancy.row_set(i);
+    slots[static_cast<size_t>(set_id + 1)].target_rows.push_back(i);
+  }
+  // Deduplicate each class's source rows in first-seen order. `unique_of[r]`
+  // is D_k row r's last assigned index; it belongs to the current class iff
+  // that class's unique row at the index is r, so no reset between classes.
+  std::vector<size_t> unique_of(indicator.source_rows(), 0);
+  std::vector<RowClass> classes;
+  for (size_t slot = 0; slot < slots.size(); ++slot) {
+    RowClass& row_class = slots[slot];
+    if (row_class.target_rows.empty()) continue;
+    row_class.set_id = static_cast<int32_t>(slot) - 1;
+    std::vector<size_t>& unique = row_class.unique_source_rows;
+    row_class.target_to_unique.reserve(row_class.target_rows.size());
+    for (size_t i : row_class.target_rows) {
+      const size_t r = static_cast<size_t>(ci[i]);
+      size_t u = unique_of[r];
+      if (u >= unique.size() || unique[u] != r) {
+        u = unique_of[r] = unique.size();
+        unique.push_back(r);
+      }
+      row_class.target_to_unique.push_back(u);
+    }
+    classes.push_back(std::move(row_class));
+  }
+  return classes;
+}
+
+ColumnPairs SourceMetadata::AllowedColumns(int32_t set_id) const {
+  const std::vector<size_t> none;
+  const std::vector<size_t>& masked =
+      set_id < 0 ? none
+                 : redundancy.column_sets()[static_cast<size_t>(set_id)];
+  ColumnPairs pairs;
+  for (size_t c = 0; c < mapping.target_cols(); ++c) {
+    const int64_t j = mapping.At(c);
+    if (j < 0 || std::binary_search(masked.begin(), masked.end(), c)) continue;
+    pairs.dk_cols.push_back(static_cast<size_t>(j));
+    pairs.t_cols.push_back(c);
+  }
+  return pairs;
+}
+
 const char* IntegrationShapeToString(IntegrationShape shape) {
   switch (shape) {
     case IntegrationShape::kPairwise:

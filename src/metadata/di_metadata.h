@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -59,6 +60,27 @@ struct MetadataEdge {
   rel::JoinKind kind = rel::JoinKind::kLeftJoin;
 };
 
+/// One redundancy row class of a source: the contributing target rows that
+/// share one redundancy set id, and therefore one set of allowed columns.
+/// The factorized rewrite computes once per distinct source row of a class
+/// and expands through the indicator.
+struct RowClass {
+  /// Redundancy set id of the class (−1 = rows with nothing masked).
+  int32_t set_id = -1;
+  /// Distinct D_k rows the class references, in first-seen order.
+  std::vector<size_t> unique_source_rows;
+  /// Target rows of the class, ascending.
+  std::vector<size_t> target_rows;
+  /// Index into `unique_source_rows`, parallel to `target_rows`.
+  std::vector<size_t> target_to_unique;
+};
+
+/// Parallel (D_k column, target column) pairs a row class may contribute.
+struct ColumnPairs {
+  std::vector<size_t> dk_cols;
+  std::vector<size_t> t_cols;
+};
+
 /// Everything the factorized runtime needs to know about one source.
 struct SourceMetadata {
   std::string name;
@@ -74,6 +96,16 @@ struct SourceMetadata {
   /// Within-source exact-duplicate fraction over mapped columns
   /// (cost-model feature: "redundancy in source tables").
   double duplicate_ratio = 0.0;
+
+  /// The source's row classes, one per redundancy set id in use, ascending
+  /// (−1 first). With `ignore_redundancy` every contributing target row
+  /// falls into the single −1 class (the Morpheus baseline's view). Derived
+  /// on demand, not stored: metadata is copied by value.
+  std::vector<RowClass> RowClasses(bool ignore_redundancy = false) const;
+
+  /// The mapped (D_k column, target column) pairs in ascending target-column
+  /// order, minus the columns redundancy set `set_id` masks (−1 = none).
+  ColumnPairs AllowedColumns(int32_t set_id) const;
 };
 
 /// Derived DI metadata for a full integration scenario.

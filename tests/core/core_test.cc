@@ -805,6 +805,48 @@ TEST(ExecutorTest, DivergentTrainingFailsUnderEveryStrategy) {
   }
 }
 
+TEST(ExecutorTest, EmptyTargetFailsUnderEveryStrategy) {
+  // An inner join whose silos share no entity integrates to zero target
+  // rows. Training on it must say so under every strategy, instead of
+  // reporting the NaN loss of an average over no rows as divergence.
+  rel::SiloPairSpec spec;
+  spec.kind = rel::JoinKind::kInnerJoin;
+  spec.base_rows = 60;
+  spec.other_rows = 20;
+  spec.match_fraction = 0.0;
+  spec.seed = 5;
+  rel::SiloPair pair = rel::GenerateSiloPair(spec);
+  Amalur amalur;
+  ASSERT_TRUE(
+      amalur.catalog()->RegisterSource({"S1", pair.base, "silo1", false}).ok());
+  ASSERT_TRUE(
+      amalur.catalog()->RegisterSource({"S2", pair.other, "silo2", false}).ok());
+  auto integration = amalur.Integrate("S1", "S2", rel::JoinKind::kInnerJoin);
+  ASSERT_TRUE(integration.ok()) << integration.status();
+  ASSERT_EQ(integration->metadata.target_rows(), 0u);
+
+  TrainRequest request;
+  request.label_column = "y";
+  const auto expect_no_rows = [](const Status& status) {
+    EXPECT_TRUE(status.IsFailedPrecondition()) << status;
+    EXPECT_NE(status.message().find("no target rows"), std::string::npos)
+        << status;
+  };
+  // Facade: the optimizer's own pick, then each forced strategy.
+  expect_no_rows(amalur.Train(*integration, request).status());
+  for (ExecutionStrategy strategy :
+       {ExecutionStrategy::kFactorize, ExecutionStrategy::kMaterialize}) {
+    request.force_strategy = strategy;
+    expect_no_rows(amalur.Train(*integration, request).status());
+  }
+  // Executor: the federated strategy as well.
+  Executor executor;
+  expect_no_rows(executor
+                     .Run(integration->metadata,
+                          Plan{ExecutionStrategy::kFederate, {}, ""}, request)
+                     .status());
+}
+
 TEST(StrategyNamesTest, AllRender) {
   EXPECT_STREQ(ExecutionStrategyToString(ExecutionStrategy::kFactorize),
                "factorize");

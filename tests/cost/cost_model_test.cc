@@ -64,6 +64,22 @@ TEST(CostFeaturesTest, ExtractedFromRunningExample) {
   EXPECT_DOUBLE_EQ(f.FeatureRatio(1), 1.0);
   EXPECT_EQ(f.TotalSourceCells(), 12u + 9u);
   EXPECT_EQ(f.TargetCells(), 24u);
+  // Factorized compute cells: S1's 4 rows × 3 columns; S2's two unmasked
+  // rows × 3 columns plus Jane's row with m and a masked, × 1 column.
+  EXPECT_EQ(f.sources[0].compute_cells, 12u);
+  EXPECT_EQ(f.sources[1].compute_cells, 2u * 3u + 1u * 1u);
+}
+
+TEST(CostFeaturesTest, ComputeCellsDeduplicateFanOut) {
+  // 2000 fact rows reference 50 dimension rows: the dimension's compute
+  // cells count each referenced source row once (unique rows × columns),
+  // not once per target row it fans out to.
+  CostFeatures f = FeaturesFor(HighRedundancySpec());
+  ASSERT_EQ(f.sources.size(), 2u);
+  EXPECT_EQ(f.sources[0].compute_cells,
+            f.sources[0].contributed_rows * f.sources[0].cols);
+  EXPECT_EQ(f.sources[1].contributed_rows, 2000u);
+  EXPECT_EQ(f.sources[1].compute_cells, 50u * f.sources[1].cols);
 }
 
 TEST(MorpheusHeuristicTest, FactorizesHighTupleAndFeatureRatio) {
