@@ -178,8 +178,7 @@ int main() {
         system.catalog()->RegisterSource({"S2", pair.other, "silo-2", false}));
 
     core::IntegrationSpec spec;
-    spec.sources = {"S1", "S2"};
-    spec.relationships = {row.spec.kind};
+    spec.edges = {{"S1", "S2", row.spec.kind}};
     auto integration = system.Integrate(spec);
     AMALUR_CHECK(integration.ok()) << integration.status();
 

@@ -77,8 +77,7 @@ std::vector<PreparedScenario> MakeScenarios() {
     AMALUR_CHECK_OK(
         system->catalog()->RegisterSource({"S2", pair.other, "silo-2", false}));
     core::IntegrationSpec integration_spec;
-    integration_spec.sources = {"S1", "S2"};
-    integration_spec.relationships = {spec.kind};
+    integration_spec.edges = {{"S1", "S2", spec.kind}};
     FinishScenario(&out, integration_spec);
   };
 

@@ -71,8 +71,7 @@ int main() {
 
   core::IntegrationSpec integration_spec;
   integration_spec.name = "clinic-lab";
-  integration_spec.sources = {"clinic", "lab"};
-  integration_spec.relationships = {rel::JoinKind::kLeftJoin};
+  integration_spec.edges = {{"clinic", "lab", rel::JoinKind::kLeftJoin}};
   auto integration = system.Integrate(integration_spec);
   AMALUR_CHECK(integration.ok()) << integration.status();
   std::printf("Integrated target schema: %s\n",

@@ -37,8 +37,7 @@ int main() {
 
   core::IntegrationSpec spec2;
   spec2.name = "joint-customers";
-  spec2.sources = {"bank_a", "bank_b"};
-  spec2.relationships = {rel::JoinKind::kInnerJoin};
+  spec2.edges = {{"bank_a", "bank_b", rel::JoinKind::kInnerJoin}};
   auto integration = system.Integrate(spec2);
   AMALUR_CHECK(integration.ok()) << integration.status();
   core::Plan plan = system.Explain(*integration);

@@ -1,5 +1,5 @@
-// Integration graphs: the edge-list `IntegrationSpec` on the scenarios the
-// flat source list cannot express. A *snowflake* chains dimensions of
+// Integration graphs: `IntegrationSpec` edge lists beyond pairs and stars.
+// A *snowflake* chains dimensions of
 // dimensions (sales -> stores -> regions), so a fact row reaches the leaf
 // dimension through two composed key hops; a *union-of-stars* stacks
 // horizontally partitioned fact shards — each a star with its own private

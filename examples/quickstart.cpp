@@ -29,8 +29,7 @@ int main() {
 
   core::IntegrationSpec spec;
   spec.name = "er-pulmonary";  // stored in the catalog for later reuse
-  spec.sources = {"S1", "S2"};
-  spec.relationships = {rel::JoinKind::kFullOuterJoin};
+  spec.edges = {{"S1", "S2", rel::JoinKind::kFullOuterJoin}};
   auto integration = system.Integrate(spec);
   AMALUR_CHECK(integration.ok()) << integration.status();
 

@@ -81,8 +81,9 @@ int main() {
 
   core::IntegrationSpec spec;
   spec.name = "claims-star";
-  spec.sources = {"claims", "patients", "providers", "regions"};
-  spec.relationships = {rel::JoinKind::kLeftJoin};
+  spec.edges = {{"claims", "patients", rel::JoinKind::kLeftJoin},
+                {"claims", "providers", rel::JoinKind::kLeftJoin},
+                {"claims", "regions", rel::JoinKind::kLeftJoin}};
   auto integration = system.Integrate(spec);
   AMALUR_CHECK(integration.ok()) << integration.status();
 

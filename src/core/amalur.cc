@@ -1,6 +1,5 @@
 #include "core/amalur.h"
 
-#include <algorithm>
 #include <memory>
 #include <set>
 
@@ -60,78 +59,19 @@ class NameClaimer {
   std::set<std::string> used_;
 };
 
-/// Plans a spec's integration graph. An explicit edge list goes straight to
-/// the graph planner, which enforces connectivity, acyclicity and the
-/// one-fact-root/union placement rules with precise error messages. The flat
-/// `sources`/`relationships` form is validated first (star base rotated to
-/// position 0, a single relationship broadcast over all edges, stars
-/// restricted to left joins) and then lowered into edges off the base.
-Result<IntegrationGraphPlan> PlanSpec(const IntegrationSpec& spec) {
-  if (!spec.edges.empty()) {
-    if (!spec.star_base.empty()) {
-      return Status::InvalidArgument(
-          "star_base applies to the flat sources/relationships form only; "
-          "an edge list already fixes the fact root");
-    }
-    return PlanIntegrationGraph(spec.edges, spec.sources);
-  }
-  std::vector<std::string> sources = spec.sources;
-  std::vector<rel::JoinKind> relationships = spec.relationships;
-  if (sources.size() < 2) {
-    return Status::InvalidArgument("an integration needs >= 2 sources, got ",
-                                   sources.size());
-  }
-  std::set<std::string> unique(sources.begin(), sources.end());
-  if (unique.size() != sources.size()) {
-    return Status::InvalidArgument("duplicate source in integration spec");
-  }
-  if (!spec.star_base.empty()) {
-    auto it = std::find(sources.begin(), sources.end(), spec.star_base);
-    if (it == sources.end()) {
-      return Status::InvalidArgument("star base '", spec.star_base,
-                                     "' is not among the spec's sources");
-    }
-    std::rotate(sources.begin(), it, it + 1);
-  }
-  const size_t edges = sources.size() - 1;
-  if (relationships.size() == 1) {
-    relationships.assign(edges, relationships[0]);
-  } else if (relationships.size() != edges) {
-    return Status::InvalidArgument("expected one relationship per edge (",
-                                   edges, " edges) or a single broadcast "
-                                   "relationship, got ",
-                                   relationships.size());
-  }
-  if (sources.size() > 2) {
-    for (rel::JoinKind kind : relationships) {
-      if (kind != rel::JoinKind::kLeftJoin) {
-        return Status::InvalidArgument(
-            "star integrations (>= 3 sources) require the left-join "
-            "relationship on every edge, got ", rel::JoinKindToString(kind),
-            "; use the edge-list spec form for mixed-relationship graphs");
-      }
-    }
-  }
-  std::vector<IntegrationEdge> lowered;
-  for (size_t e = 0; e < edges; ++e) {
-    lowered.push_back({sources[0], sources[e + 1], relationships[e]});
-  }
-  return PlanIntegrationGraph(lowered, sources);
-}
-
 }  // namespace
 
 Result<IntegrationHandle> Amalur::Integrate(const std::string& base_name,
                                             const std::string& other_name,
                                             rel::JoinKind kind) {
   IntegrationSpec spec;
-  spec.sources = {base_name, other_name};
-  spec.relationships = {kind};
+  spec.edges = {{base_name, other_name, kind}};
   return Integrate(spec);
 }
 
 Result<IntegrationHandle> Amalur::Integrate(const IntegrationSpec& spec) {
-  AMALUR_ASSIGN_OR_RETURN(const IntegrationGraphPlan plan, PlanSpec(spec));
+  AMALUR_ASSIGN_OR_RETURN(const IntegrationGraphPlan plan,
+                          PlanIntegrationGraph(spec.edges));
   const bool pairwise = plan.shape == metadata::IntegrationShape::kPairwise;
   const size_t n_sources = plan.sources.size();
   std::vector<const SourceEntry*> entries(n_sources);

@@ -17,11 +17,11 @@
 
 /// \file amalur.h
 /// The Amalur system facade — the end-to-end pipeline of Figure 3. Users
-/// register silo tables, describe *what* to integrate with an
-/// `IntegrationSpec` — either a flat source list (two sources or an n-ary
-/// star) or an explicit **integration graph**: a list of
-/// `core::IntegrationEdge`s forming a tree of left joins and unions, which
-/// unlocks snowflake schemas (dimension-of-dimension chains) and
+/// register silo tables and describe *what* to integrate with an
+/// `IntegrationSpec`: an **integration graph**, a list of
+/// `core::IntegrationEdge`s. One edge is a pairwise integration of any
+/// Table I relationship; several edges form a DAG of left/inner joins and
+/// unions — stars, snowflake schemas (dimension-of-dimension chains) and
 /// union-of-stars scenarios (horizontally partitioned fact shards, each
 /// with its own dimensions). The system validates and topologically orders
 /// the graph, then runs automatic schema matching → target-schema
@@ -80,48 +80,27 @@ struct AmalurOptions {
 };
 
 /// Declarative description of one integration scenario: which registered
-/// sources participate and how their rows relate (Table I). Two equivalent
-/// forms exist — the explicit edge list (`edges`, the general form) and the
-/// flat `sources`/`relationships` list (a convenience that lowers into
-/// edges hanging off one base).
+/// sources participate and how their rows relate (Table I), as an edge
+/// list.
 struct IntegrationSpec {
   /// Optional catalog name. Non-empty → the resulting handle is registered
   /// via `Catalog::RegisterIntegration` (unique names, `kAlreadyExists` on
   /// re-use) and can be fetched later with `Catalog::GetIntegration`.
   std::string name;
 
-  /// **Edge-list form.** When non-empty, the integration is this graph: a
-  /// DAG of `kLeftJoin` / `kInnerJoin` edges (parent retained, child
-  /// dimension — chains allowed, which is how snowflake schemas are
-  /// expressed; an inner edge additionally drops target rows where the
-  /// child has no match) and `kUnion` edges (sibling fact shards —
-  /// union-of-stars). A dimension referenced by several join edges is a
-  /// *conformed dimension*: its columns appear once in the target and its
-  /// silo is integrated once. A single edge of any relationship is a
-  /// pairwise integration. The graph must be connected and acyclic with one
-  /// fact root and at most one parent per fact shard; violations return
-  /// precise `kInvalidArgument` messages. When `edges` is set,
-  /// `relationships` is ignored, `star_base` must be empty (the edge list
-  /// already fixes the root), and `sources` (if non-empty) merely declares
-  /// the expected participant set.
+  /// The integration graph, >= 1 edge: a DAG of `kLeftJoin` /
+  /// `kInnerJoin` edges (parent retained, child dimension — chains allowed,
+  /// which is how snowflake schemas are expressed; an inner edge
+  /// additionally drops target rows where the child has no match) and
+  /// `kUnion` edges (sibling fact shards — union-of-stars). A dimension
+  /// referenced by several join edges is a *conformed dimension*: its
+  /// columns appear once in the target and its silo is integrated once. A
+  /// single edge of any relationship is a pairwise integration (the edge's
+  /// left source is the base, the running example's S1). The graph must be
+  /// connected and acyclic with one fact root and at most one parent per
+  /// fact shard; violations return precise `kInvalidArgument` messages, and
+  /// an unregistered source is `kNotFound`.
   std::vector<IntegrationEdge> edges;
-
-  /// **Flat form** (used when `edges` is empty). Ordered names of >= 2
-  /// registered sources. The first entry is the base table (the running
-  /// example's S1; the fact table of a star) unless `star_base` overrides
-  /// it. Two sources lower into one pairwise edge; three or more into a
-  /// star (base left-joined to each dimension).
-  std::vector<std::string> sources;
-
-  /// Flat form only: dataset relationship per edge (base, sources[i+1]) —
-  /// either exactly one entry, applied to every edge, or sources.size()-1
-  /// entries. Star scenarios (>= 3 sources) require `kLeftJoin` on every
-  /// edge; use the edge-list form for mixed-relationship graphs.
-  std::vector<rel::JoinKind> relationships = {rel::JoinKind::kInnerJoin};
-
-  /// Flat form only: name of the source to use as the star base / pairwise
-  /// base. Must be an element of `sources`; empty means `sources[0]`.
-  std::string star_base;
 };
 
 /// Per-dataset evaluation metrics of a trained model (task-dependent:
@@ -196,9 +175,9 @@ class ModelHandle {
   Result<EvaluationReport> Evaluate() const;
 
   /// Deploys this model into the serving tier: builds an immutable
-  /// `serving::DeployedModel` snapshot (weights, schema, factorized view,
-  /// partial-score cache) and publishes it in `registry` under `name`
-  /// (empty = the model's catalog name). Same error contract as
+  /// `serving::DeployedModel` snapshot (weights, schema, the shared DI
+  /// metadata, partial-score cache) and publishes it in `registry` under
+  /// `name` (empty = the model's catalog name). Same error contract as
   /// `ModelRegistry::Deploy`. Defined with the registry in src/serving/.
   Result<std::shared_ptr<const serving::DeployedModel>> Deploy(
       serving::ModelRegistry* registry, const std::string& name = "") const;
@@ -263,14 +242,14 @@ class Amalur {
   const Catalog& catalog() const { return catalog_; }
 
   /// Runs the automatic integration pipeline over the spec's graph. The
-  /// spec's edge set (explicit, or lowered from the flat form) is validated
-  /// (connected, acyclic, one fact root) and topologically ordered; then ONE
-  /// pipeline walks it for every shape: per-edge schema matching and key
-  /// discovery (a conformed dimension is matched against every parent),
-  /// target-schema synthesis (matched numeric columns merge into one target
-  /// column — across union edges too; source-private numeric columns carry
-  /// over once, however many parents reference their source; string columns
-  /// and surrogate keys serve as join evidence only), tgd generation, and
+  /// spec's edge set is validated (connected, acyclic, one fact root) and
+  /// topologically ordered; then ONE pipeline walks it for every shape:
+  /// per-edge schema matching and key discovery (a conformed dimension is
+  /// matched against every parent), target-schema synthesis (matched
+  /// numeric columns merge into one target column — across union edges
+  /// too; source-private numeric columns carry over once, however many
+  /// parents reference their source; string columns and surrogate keys
+  /// serve as join evidence only), tgd generation, and
   /// per-edge row matching (exact-key when a surrogate key was discovered,
   /// fuzzy entity resolution otherwise). Only the derivation depends on the
   /// shape:
@@ -292,7 +271,8 @@ class Amalur {
   /// handle is registered as a first-class catalog object.
   Result<IntegrationHandle> Integrate(const IntegrationSpec& spec);
 
-  /// Two-source convenience overload; delegates to the spec form.
+  /// Two-source convenience overload: the one-edge spec
+  /// `{base_name, other_name, kind}`.
   Result<IntegrationHandle> Integrate(const std::string& base_name,
                                       const std::string& other_name,
                                       rel::JoinKind kind);

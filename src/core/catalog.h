@@ -85,8 +85,7 @@ struct IntegrationHandle {
   /// (the base of pairwise scenarios).
   std::vector<std::string> source_names;
   /// The integration graph's edges in topological order (parents before
-  /// children). Pairwise scenarios have one edge; specs given in the legacy
-  /// `sources`/`relationships` form are lowered into edges here.
+  /// children). Pairwise scenarios have one edge.
   std::vector<IntegrationEdge> edges;
   /// Structural shape of the graph (also reported by `Amalur::Explain`).
   metadata::IntegrationShape shape = metadata::IntegrationShape::kPairwise;

@@ -23,13 +23,10 @@ struct Adjacency {
 }  // namespace
 
 Result<IntegrationGraphPlan> PlanIntegrationGraph(
-    const std::vector<IntegrationEdge>& edges,
-    const std::vector<std::string>& declared_sources) {
+    const std::vector<IntegrationEdge>& edges) {
   if (edges.empty()) {
     return Status::InvalidArgument("an integration graph needs >= 1 edge");
   }
-  const std::set<std::string> declared(declared_sources.begin(),
-                                       declared_sources.end());
 
   // ---- Per-edge validation: endpoints, self-loops, duplicates, kinds.
   // Dimensions may have several join parents (conformed dimensions), so the
@@ -44,11 +41,6 @@ Result<IntegrationGraphPlan> PlanIntegrationGraph(
       if (endpoint->empty()) {
         return Status::InvalidArgument("edge ", e,
                                        " has an empty source name");
-      }
-      if (!declared.empty() && declared.count(*endpoint) == 0) {
-        return Status::InvalidArgument(
-            "edge ", e, " references source '", *endpoint,
-            "', which is not among the spec's sources");
       }
       nodes.insert(*endpoint);
       in_degree.emplace(*endpoint, 0);
@@ -81,13 +73,6 @@ Result<IntegrationGraphPlan> PlanIntegrationGraph(
           "source '", name,
           "' is a fact shard (a union-edge child) with several parent "
           "edges; only dimensions may be conformed");
-    }
-  }
-  for (const std::string& name : declared_sources) {
-    if (nodes.count(name) == 0) {
-      return Status::InvalidArgument(
-          "integration graph is disconnected: source '", name,
-          "' appears in no edge");
     }
   }
 

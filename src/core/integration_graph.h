@@ -39,16 +39,13 @@ struct IntegrationGraphPlan {
   const std::string& root() const { return sources.front(); }
 };
 
-/// Validates `edges` and plans the traversal. `declared_sources`, when
-/// non-empty, is the spec's explicit source list: every edge endpoint must
-/// appear in it and every declared source must be reached by an edge.
-/// Malformed graphs return `kInvalidArgument` with a precise message
-/// (self-loop, duplicate edge, unknown source, a multi-parent fact shard,
-/// cycle, disconnected graph, union under a dimension, non-pairwise full
-/// outer edges).
+/// Validates `edges` and plans the traversal. Malformed graphs return
+/// `kInvalidArgument` with a precise message (no edges, empty source name,
+/// self-loop, duplicate edge, a multi-parent fact shard, cycle,
+/// disconnected graph, union under a dimension, non-pairwise full outer
+/// edges). Whether the named sources are registered is the caller's check.
 Result<IntegrationGraphPlan> PlanIntegrationGraph(
-    const std::vector<IntegrationEdge>& edges,
-    const std::vector<std::string>& declared_sources);
+    const std::vector<IntegrationEdge>& edges);
 
 }  // namespace core
 }  // namespace amalur

@@ -135,68 +135,6 @@ la::DenseMatrix FactorizedTable::TransposeLeftMultiply(
   return out;
 }
 
-la::DenseMatrix FactorizedTable::RightMultiply(const la::DenseMatrix& x) const {
-  AMALUR_CHECK_EQ(x.cols(), rows()) << "RMM: X must have rT columns";
-  const size_t m = x.rows();
-  la::DenseMatrix out(m, cols());
-  for (size_t k = 0; k < metadata_.num_sources(); ++k) {
-    const la::DenseMatrix& dk = metadata_.source(k).data;
-    for (const RowClassPlan& plan : plans_[k]) {
-      // Aggregate X's fan-out columns per unique source row, then multiply.
-      // Both passes touch only row i of `aggregated`/`out` for X row i, so
-      // they fuse into one parallel loop over disjoint X-row chunks.
-      la::DenseMatrix aggregated(m, plan.unique_source_rows.size());
-      common::ParallelFor(0, m, 1, [&](size_t i_begin, size_t i_end) {
-        for (size_t r = 0; r < plan.target_rows.size(); ++r) {
-          const size_t t = plan.target_rows[r];
-          const size_t u = plan.target_to_unique[r];
-          for (size_t i = i_begin; i < i_end; ++i) {
-            aggregated.At(i, u) += x.At(i, t);
-          }
-        }
-        for (size_t u = 0; u < plan.unique_source_rows.size(); ++u) {
-          const double* d_row = dk.RowPtr(plan.unique_source_rows[u]);
-          for (size_t p = 0; p < plan.dk_cols.size(); ++p) {
-            const double v = d_row[plan.dk_cols[p]];
-            if (v == 0.0) continue;
-            const size_t c = plan.t_cols[p];
-            for (size_t i = i_begin; i < i_end; ++i) {
-              out.At(i, c) += aggregated.At(i, u) * v;
-            }
-          }
-        }
-      });
-    }
-  }
-  return out;
-}
-
-la::DenseMatrix FactorizedTable::RowSums() const {
-  la::DenseMatrix out(rows(), 1);
-  for (size_t k = 0; k < metadata_.num_sources(); ++k) {
-    const la::DenseMatrix& dk = metadata_.source(k).data;
-    for (const RowClassPlan& plan : plans_[k]) {
-      std::vector<double> sums(plan.unique_source_rows.size(), 0.0);
-      common::ParallelFor(
-          0, plan.unique_source_rows.size(), kUniqueGrain,
-          [&](size_t u_begin, size_t u_end) {
-            for (size_t u = u_begin; u < u_end; ++u) {
-              const double* d_row = dk.RowPtr(plan.unique_source_rows[u]);
-              for (size_t j : plan.dk_cols) sums[u] += d_row[j];
-            }
-          });
-      common::ParallelFor(
-          0, plan.target_rows.size(), kExpandGrain,
-          [&](size_t r_begin, size_t r_end) {
-            for (size_t r = r_begin; r < r_end; ++r) {
-              out.At(plan.target_rows[r], 0) += sums[plan.target_to_unique[r]];
-            }
-          });
-    }
-  }
-  return out;
-}
-
 la::DenseMatrix FactorizedTable::ColSums() const {
   la::DenseMatrix out(1, cols());
   for (size_t k = 0; k < metadata_.num_sources(); ++k) {
@@ -248,15 +186,16 @@ la::DenseMatrix FactorizedTable::RowSquaredNorms() const {
   return out;
 }
 
-PartialScores FactorizedTable::ExtractPartialScores(
-    const la::DenseMatrix& target_weights) const {
-  AMALUR_CHECK(target_weights.rows() == cols() && target_weights.cols() == 1)
+PartialScores PartialScores::Extract(const metadata::DiMetadata& metadata,
+                                     const la::DenseMatrix& target_weights) {
+  AMALUR_CHECK(target_weights.rows() == metadata.target_cols() &&
+               target_weights.cols() == 1)
       << "partial scores: weights must be cT x 1";
   PartialScores out;
-  out.metadata_ = &metadata_;
-  out.by_set_.resize(metadata_.num_sources());
-  for (size_t k = 0; k < metadata_.num_sources(); ++k) {
-    const metadata::SourceMetadata& source = metadata_.source(k);
+  out.metadata_ = &metadata;
+  out.by_set_.resize(metadata.num_sources());
+  for (size_t k = 0; k < metadata.num_sources(); ++k) {
+    const metadata::SourceMetadata& source = metadata.source(k);
     const la::DenseMatrix& dk = source.data;
 
     // One partial vector per masked-column set (index 0 = the all-ones

@@ -22,9 +22,9 @@ namespace amalur {
 namespace factorized {
 
 /// Per-source partial scores of one fixed weight vector w (cT × 1),
-/// extracted once from the factorized view by
-/// `FactorizedTable::ExtractPartialScores`. For source k and masked-column
-/// set s (−1 = all-ones row), every D_k row j gets
+/// extracted once from the DI metadata by `PartialScores::Extract`. For
+/// source k and masked-column set s (−1 = all-ones row), every D_k row j
+/// gets
 ///
 ///     partial_k[s][j] = Σ_{allowed (d, c) pairs of s} D_k[j, d] · w[c]
 ///
@@ -41,12 +41,17 @@ namespace factorized {
 /// cache: built once per deployed weight vector, shared read-only by every
 /// concurrent scoring thread.
 ///
-/// Non-owning: holds a pointer into the extracting table's metadata, so the
-/// `FactorizedTable` must outlive the `PartialScores` (the serving snapshot
-/// keeps both behind one shared_ptr).
+/// Non-owning: holds a pointer to the metadata it was extracted from, which
+/// must outlive the `PartialScores` (the serving snapshot keeps both).
 class PartialScores {
  public:
   PartialScores() = default;
+
+  /// Extracts the partial scores of `target_weights` (cT × 1) over
+  /// `metadata`. Reads only the indicators, redundancy sets and
+  /// `SourceMetadata::AllowedColumns` — no row-class plan is built.
+  static PartialScores Extract(const metadata::DiMetadata& metadata,
+                               const la::DenseMatrix& target_weights);
 
   /// Target rows scorable (rT).
   size_t rows() const {
@@ -72,8 +77,6 @@ class PartialScores {
   }
 
  private:
-  friend class FactorizedTable;
-
   const metadata::DiMetadata* metadata_ = nullptr;
   /// [source][set id + 1][D_k row]; index 0 holds the all-ones (−1) set.
   std::vector<std::vector<std::vector<double>>> by_set_;
@@ -97,12 +100,6 @@ class FactorizedTable {
   /// Tᵀ · X for X (rT × n) — the transpose rewrite (gradients).
   la::DenseMatrix TransposeLeftMultiply(const la::DenseMatrix& x) const;
 
-  /// X · T for X (m × rT) — the RMM rewrite.
-  la::DenseMatrix RightMultiply(const la::DenseMatrix& x) const;
-
-  /// Row sums T·1 (rT × 1).
-  la::DenseMatrix RowSums() const;
-
   /// Column sums Tᵀ·1 as (1 × cT).
   la::DenseMatrix ColSums() const;
 
@@ -112,18 +109,6 @@ class FactorizedTable {
 
   /// The dense target (tests / the materialized execution path).
   la::DenseMatrix Materialize() const { return metadata_.MaterializeTargetMatrix(); }
-
-  /// Extracts the per-source partial scores of `target_weights` (cT × 1) —
-  /// the serving tier's deploy-time computation (see `PartialScores`). The
-  /// result points into this table's metadata and must not outlive it.
-  PartialScores ExtractPartialScores(const la::DenseMatrix& target_weights) const;
-
-  /// Reference (unrewritten) operators on an already-materialized T, used by
-  /// equivalence tests and the materialized training path.
-  static la::DenseMatrix MaterializedLeftMultiply(const la::DenseMatrix& t,
-                                                  const la::DenseMatrix& x) {
-    return t.Multiply(x);
-  }
 
  private:
   friend class MorpheusReference;
@@ -171,11 +156,6 @@ class MorpheusReference {
   la::DenseMatrix TransposeLeftMultiply(const la::DenseMatrix& x) const {
     return table_.TransposeLeftMultiply(x);
   }
-  la::DenseMatrix RightMultiply(const la::DenseMatrix& x) const {
-    return table_.RightMultiply(x);
-  }
-  la::DenseMatrix RowSums() const { return table_.RowSums(); }
-  la::DenseMatrix ColSums() const { return table_.ColSums(); }
 
  private:
   FactorizedTable table_;  // with redundancy ignored in its plans

@@ -510,11 +510,34 @@ la::DenseMatrix DiMetadata::SourceContribution(size_t k) const {
 }
 
 la::DenseMatrix DiMetadata::MaterializeTargetMatrix() const {
+  // T = Σ_k (I_k D_k M_kᵀ) ∘ R_k, accumulated one target row at a time
+  // instead of through an rT × cT contribution matrix per source. Every
+  // cell still receives one addition per source (+0.0 where the source
+  // contributes nothing or is masked), so the sums are bitwise those of
+  // adding the masked `SourceContribution` matrices.
   la::DenseMatrix target(target_rows_, target_cols_);
-  for (size_t k = 0; k < sources_.size(); ++k) {
-    la::DenseMatrix contribution = SourceContribution(k);
-    sources_[k].redundancy.ApplyInPlace(&contribution);
-    target.AddInPlace(contribution);
+  std::vector<double> row(target_cols_);
+  for (const SourceMetadata& source : sources_) {
+    for (size_t i = 0; i < target_rows_; ++i) {
+      std::fill(row.begin(), row.end(), 0.0);
+      const int64_t j = source.indicator.At(i);
+      if (j >= 0) {
+        const double* d_row = source.data.RowPtr(static_cast<size_t>(j));
+        for (size_t c = 0; c < target_cols_; ++c) {
+          const int64_t d = source.mapping.At(c);
+          if (d >= 0) row[c] = d_row[d];
+        }
+        const int32_t set = source.redundancy.row_set(i);
+        if (set >= 0) {
+          for (size_t c :
+               source.redundancy.column_sets()[static_cast<size_t>(set)]) {
+            row[c] = 0.0;
+          }
+        }
+      }
+      double* t_row = target.RowPtr(i);
+      for (size_t c = 0; c < target_cols_; ++c) t_row[c] += row[c];
+    }
   }
   return target;
 }

@@ -28,7 +28,7 @@ namespace metadata {
 
 /// Structural shape of an integration scenario's source graph. Pairwise is
 /// the two-source form of §III; star/snowflake/union-of-stars are the n-ary
-/// generalizations the edge-list `IntegrationSpec` describes: a star joins
+/// generalizations an `IntegrationSpec` edge list describes: a star joins
 /// one fact table to depth-1 dimensions, a snowflake chains dimensions of
 /// dimensions, and a union-of-stars stacks horizontally partitioned fact
 /// shards (each with its own dimension subtree) into one target. A

@@ -40,12 +40,11 @@ FactorizedFeatures::FactorizedFeatures(
     std::shared_ptr<const factorized::FactorizedTable> table, size_t label_column)
     : table_(std::move(table)), label_column_(label_column) {
   AMALUR_CHECK(table_ != nullptr) << "null table";
-  AMALUR_CHECK(label_column_ == kNoLabel || label_column_ < table_->cols())
+  AMALUR_CHECK(label_column_ < table_->cols())
       << "label column out of range";
 }
 
 la::DenseMatrix FactorizedFeatures::PadToTarget(const la::DenseMatrix& x) const {
-  if (label_column_ == kNoLabel) return x;
   la::DenseMatrix padded(table_->cols(), x.cols());
   for (size_t i = 0, src = 0; i < table_->cols(); ++i) {
     if (i == label_column_) continue;
@@ -56,7 +55,6 @@ la::DenseMatrix FactorizedFeatures::PadToTarget(const la::DenseMatrix& x) const 
 }
 
 la::DenseMatrix FactorizedFeatures::DropLabelRow(const la::DenseMatrix& x) const {
-  if (label_column_ == kNoLabel) return x;
   la::DenseMatrix out(x.rows() - 1, x.cols());
   for (size_t i = 0, dst = 0; i < x.rows(); ++i) {
     if (i == label_column_) continue;
@@ -78,7 +76,6 @@ la::DenseMatrix FactorizedFeatures::TransposeLeftMultiply(
 
 la::DenseMatrix FactorizedFeatures::RowSquaredNorms() const {
   la::DenseMatrix norms = table_->RowSquaredNorms();
-  if (label_column_ == kNoLabel) return norms;
   // Subtract the label column's contribution: ||t_i||² - y_i².
   la::DenseMatrix labels = Labels();
   for (size_t i = 0; i < norms.rows(); ++i) {
@@ -89,7 +86,6 @@ la::DenseMatrix FactorizedFeatures::RowSquaredNorms() const {
 
 la::DenseMatrix FactorizedFeatures::ColSums() const {
   la::DenseMatrix sums = table_->ColSums();  // 1 x cT
-  if (label_column_ == kNoLabel) return sums;
   la::DenseMatrix out(1, cols());
   for (size_t i = 0, dst = 0; i < table_->cols(); ++i) {
     if (i == label_column_) continue;
@@ -99,7 +95,6 @@ la::DenseMatrix FactorizedFeatures::ColSums() const {
 }
 
 la::DenseMatrix FactorizedFeatures::Labels() const {
-  AMALUR_CHECK(label_column_ != kNoLabel) << "no label column configured";
   la::DenseMatrix selector(table_->cols(), 1);
   selector.At(label_column_, 0) = 1.0;
   return table_->LeftMultiply(selector);

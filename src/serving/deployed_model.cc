@@ -6,7 +6,6 @@
 #include "common/span.h"
 #include "common/status.h"
 #include "ml/metrics.h"
-#include "ml/training_matrix.h"
 
 namespace amalur {
 namespace serving {
@@ -24,16 +23,14 @@ Result<std::shared_ptr<DeployedModel>> DeployedModel::Create(
     const DeployOptions& options) {
   if (name.empty()) return Status::InvalidArgument("empty deployment name");
 
-  std::shared_ptr<const factorized::FactorizedTable> table;
+  std::shared_ptr<const metadata::DiMetadata> metadata;
   if (model.factorized_table() != nullptr) {
-    // Factorized plans: share the exact view training ran over.
-    table = model.factorized_table();
+    // Factorized plans: alias the metadata inside the view training ran
+    // over, so nothing is copied.
+    metadata = std::shared_ptr<const metadata::DiMetadata>(
+        model.factorized_table(), &model.factorized_table()->metadata());
   } else if (model.metadata() != nullptr) {
-    // Materialized/federated plans kept only the derived metadata; build
-    // the factorized view once at deploy time so every deployment serves
-    // through the partial-score cache.
-    table =
-        std::make_shared<const factorized::FactorizedTable>(*model.metadata());
+    metadata = model.metadata();
   } else {
     return Status::FailedPrecondition(
         "model for deployment '", name,
@@ -41,14 +38,14 @@ Result<std::shared_ptr<DeployedModel>> DeployedModel::Create(
         "before deploying");
   }
 
+  const size_t cols = metadata->target_cols();
   const size_t label = model.label_index();
   const la::DenseMatrix& weights = model.weights();
-  if (weights.cols() != 1 || weights.rows() + 1 != table->cols() ||
-      label >= table->cols()) {
+  if (weights.cols() != 1 || weights.rows() + 1 != cols || label >= cols) {
     return Status::FailedPrecondition(
         "model for deployment '", name, "' has ", weights.rows(),
-        " weights but the target schema has ", table->cols(),
-        " columns (label at ", label, "); the handle is inconsistent");
+        " weights but the target schema has ", cols, " columns (label at ",
+        label, "); the handle is inconsistent");
   }
 
   auto out = std::shared_ptr<DeployedModel>(new DeployedModel());
@@ -61,21 +58,37 @@ Result<std::shared_ptr<DeployedModel>> DeployedModel::Create(
   // Pad the weights to target-column space with a zero at the label — the
   // same layout FactorizedFeatures::PadToTarget gives the training LMM, so
   // the partial scores reproduce training-time predictions bit for bit.
-  la::DenseMatrix target_weights(table->cols(), 1);
-  for (size_t j = 0, f = 0; j < table->cols(); ++j) {
+  la::DenseMatrix target_weights(cols, 1);
+  for (size_t j = 0, f = 0; j < cols; ++j) {
     if (j == label) continue;
     target_weights.At(j, 0) = weights.At(f++, 0);
   }
   out->target_weights_ = std::move(target_weights);
-  out->partials_ = table->ExtractPartialScores(out->target_weights_);
-  out->labels_ = ml::FactorizedFeatures(table, label).Labels();
-  if (options.enable_dense_scoring) out->dense_target_ = table->Materialize();
-  out->table_ = std::move(table);
+  out->partials_ =
+      factorized::PartialScores::Extract(*metadata, out->target_weights_);
+
+  // Labels are the scores of the label selector — bitwise-equal to the LMM
+  // `FactorizedFeatures::Labels` runs (see `PartialScores`).
+  la::DenseMatrix selector(cols, 1);
+  selector.At(label, 0) = 1.0;
+  const factorized::PartialScores label_scores =
+      factorized::PartialScores::Extract(*metadata, selector);
+  out->labels_ = la::DenseMatrix(label_scores.rows(), 1);
+  common::ParallelFor(
+      0, label_scores.rows(), kBatchGrain, [&](size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) {
+          out->labels_.At(i, 0) = label_scores.ScoreRow(i);
+        }
+      });
+  if (options.enable_dense_scoring) {
+    out->dense_target_ = metadata->MaterializeTargetMatrix();
+  }
+  out->metadata_ = std::move(metadata);
   return out;
 }
 
 Status DeployedModel::ValidateBatch(common::Span<RowRef> batch) const {
-  const size_t limit = table_->rows();
+  const size_t limit = rows();
   for (size_t i = 0; i < batch.size(); ++i) {
     if (batch[i].row >= limit) {
       return Status::InvalidArgument(

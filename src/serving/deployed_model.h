@@ -16,11 +16,12 @@
 /// The serving tier's unit of deployment: an immutable snapshot of a trained
 /// model, captured once at deploy time and shared read-only (behind a
 /// `shared_ptr`) by any number of concurrent scoring threads. The snapshot
-/// copies everything serving needs — weights, training schema, the
-/// factorized view, and a per-dimension partial-score cache
-/// (`factorized::PartialScores`) — so fact rows are scored by indicator
-/// lookup instead of re-multiplying the dimension blocks, and no request
-/// ever touches live catalog or registry storage.
+/// holds everything serving needs — weights, training schema, the
+/// integration's DI metadata (shared with the model handle, not copied),
+/// and a per-dimension partial-score cache (`factorized::PartialScores`) —
+/// so fact rows are scored by indicator lookup instead of re-multiplying
+/// the dimension blocks, and no request ever touches live catalog or
+/// registry storage.
 ///
 /// Determinism: `PredictBatch` partitions the batch across the shared
 /// thread pool with the house fixed-order-merge pattern (each chunk writes
@@ -64,11 +65,12 @@ class DeployedModel {
   /// Builds a snapshot of `model` under `name`. Requires the handle to
   /// carry integration data (`factorized_table()` or `metadata()` — models
   /// trained through `Amalur::Train` always do); a default-constructed
-  /// handle is `kFailedPrecondition`. Non-factorized plans get a factorized
-  /// view built from the metadata copy here, so every deployment serves
-  /// through the partial-score cache. Returns a mutable pointer so the
-  /// registry can stamp the version before publication; after publication
-  /// the object is shared as `const`.
+  /// handle is `kFailedPrecondition`. The snapshot shares the handle's DI
+  /// metadata (for factorized plans, the training table's own metadata)
+  /// and extracts the partial scores of the weights and of the label
+  /// straight from it; no factorized view is built. Returns a mutable
+  /// pointer so the registry can stamp the version before publication;
+  /// after publication the object is shared as `const`.
   static Result<std::shared_ptr<DeployedModel>> Create(
       const std::string& name, const core::ModelHandle& model,
       const DeployOptions& options = {});
@@ -89,7 +91,7 @@ class DeployedModel {
   }
 
   /// Scorable target rows of the integration scenario.
-  size_t rows() const { return table_->rows(); }
+  size_t rows() const { return metadata_->target_rows(); }
   bool dense_scoring_enabled() const { return !dense_target_.empty(); }
 
   /// Scores the referenced target rows through the partial-score cache:
@@ -134,9 +136,9 @@ class DeployedModel {
   std::vector<std::string> feature_names_;
   std::vector<std::string> source_names_;
 
-  /// The factorized view the snapshot scores through (owns the metadata the
-  /// partial-score cache points into).
-  std::shared_ptr<const factorized::FactorizedTable> table_;
+  /// The integration's DI metadata (keeps alive what the partial-score
+  /// cache points into).
+  std::shared_ptr<const metadata::DiMetadata> metadata_;
   /// Deploy-time partial scores of the padded weight vector (label weight
   /// 0) — the factorized serving fast path.
   factorized::PartialScores partials_;

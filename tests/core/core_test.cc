@@ -100,10 +100,15 @@ TEST(AmalurTest, RunningExampleEndToEnd) {
 
   IntegrationSpec spec;
   spec.name = "er-pulmonary";
-  spec.sources = {"S1", "S2"};
-  spec.relationships = {rel::JoinKind::kFullOuterJoin};
+  spec.edges = {{"S1", "S2", rel::JoinKind::kFullOuterJoin}};
   auto integration = amalur.Integrate(spec);
   ASSERT_TRUE(integration.ok()) << integration.status();
+  EXPECT_EQ(integration->shape, metadata::IntegrationShape::kPairwise);
+  EXPECT_EQ(integration->source_names, (std::vector<std::string>{"S1", "S2"}));
+  // Explain leads with the graph shape.
+  EXPECT_NE(amalur.Explain(*integration).explanation.find(
+                "graph shape: pairwise"),
+            std::string::npos);
   // Target schema synthesized as T(m, a, hr, o) — the paper's mediated schema.
   EXPECT_EQ(integration->mapping.target_schema().Names(),
             (std::vector<std::string>{"m", "a", "hr", "o"}));
@@ -388,62 +393,10 @@ TEST(AmalurTest, ServingAlignsShuffledHoldoutColumnsByName) {
   EXPECT_DOUBLE_EQ(report_in_order->mse, report_shuffled->mse);
 }
 
-TEST(AmalurTest, IntegrationSpecValidation) {
-  integration::RunningExample ex = integration::MakeRunningExample();
-  Amalur amalur;
-  ASSERT_TRUE(
-      amalur.catalog()->RegisterSource({"S1", ex.s1, "", false}).ok());
-  ASSERT_TRUE(
-      amalur.catalog()->RegisterSource({"S2", ex.s2, "", false}).ok());
-
-  IntegrationSpec spec;
-  spec.sources = {"S1"};
-  EXPECT_TRUE(amalur.Integrate(spec).status().IsInvalidArgument());
-
-  spec.sources = {"S1", "S1"};
-  EXPECT_TRUE(amalur.Integrate(spec).status().IsInvalidArgument());
-
-  spec.sources = {"S1", "S9"};
-  EXPECT_TRUE(amalur.Integrate(spec).status().IsNotFound());
-
-  spec.sources = {"S1", "S2"};
-  spec.relationships = {rel::JoinKind::kInnerJoin, rel::JoinKind::kLeftJoin};
-  EXPECT_TRUE(amalur.Integrate(spec).status().IsInvalidArgument());
-
-  spec.relationships = {rel::JoinKind::kInnerJoin};
-  spec.star_base = "S7";  // not among the sources
-  EXPECT_TRUE(amalur.Integrate(spec).status().IsInvalidArgument());
-
-  // Star scenarios demand the left-join relationship on every edge.
-  ASSERT_TRUE(
-      amalur.catalog()->RegisterSource({"S3", ex.s2, "", false}).ok());
-  spec.star_base.clear();
-  spec.sources = {"S1", "S2", "S3"};
-  spec.relationships = {rel::JoinKind::kInnerJoin};
-  EXPECT_TRUE(amalur.Integrate(spec).status().IsInvalidArgument());
-
-  // A union needs overlapping columns to merge, on two sources as on a
-  // graph: disjoint schemas are a precondition failure, not an empty match.
-  rel::Table unrelated("U");
-  ASSERT_TRUE(unrelated
-                  .AddColumn(rel::Column::FromDoubles("glucose",
-                                                      {1000.5, 1200.25}))
-                  .ok());
-  ASSERT_TRUE(
-      amalur.catalog()->RegisterSource({"U", unrelated, "", false}).ok());
-  spec.sources = {"S1", "U"};
-  spec.relationships = {rel::JoinKind::kUnion};
-  auto disjoint_union = amalur.Integrate(spec);
-  EXPECT_TRUE(disjoint_union.status().IsFailedPrecondition())
-      << disjoint_union.status();
-  EXPECT_NE(disjoint_union.status().message().find(
-                "a union edge needs overlapping columns"),
-            std::string::npos);
-}
-
 TEST(AmalurTest, GraphSpecValidationReportsPreciseErrors) {
-  // Malformed edge-list specs fail fast in the graph planner with messages
-  // that name the offending edge or source — no catalog access needed.
+  // Malformed specs fail fast in the graph planner with messages that name
+  // the offending edge or source, before any catalog access; only the last
+  // two cases reach the catalog.
   Amalur amalur;
   const auto integrate_message = [&](IntegrationSpec spec) {
     auto result = amalur.Integrate(spec);
@@ -452,16 +405,12 @@ TEST(AmalurTest, GraphSpecValidationReportsPreciseErrors) {
   };
 
   IntegrationSpec spec;
-  // Unknown source in an edge (the spec declares its participants).
-  spec.sources = {"a", "b"};
-  spec.edges = {{"a", "mystery", rel::JoinKind::kLeftJoin}};
-  EXPECT_NE(integrate_message(spec).find(
-                "references source 'mystery', which is not among the spec's "
-                "sources"),
-            std::string::npos);
+  // The empty spec: there is nothing to integrate.
+  EXPECT_NE(
+      integrate_message(spec).find("an integration graph needs >= 1 edge"),
+      std::string::npos);
 
   // Duplicate edge (either orientation).
-  spec.sources.clear();
   spec.edges = {{"a", "b", rel::JoinKind::kLeftJoin},
                 {"b", "a", rel::JoinKind::kUnion}};
   EXPECT_NE(integrate_message(spec).find("duplicate edge between 'b' and 'a'"),
@@ -491,17 +440,9 @@ TEST(AmalurTest, GraphSpecValidationReportsPreciseErrors) {
                 {"c", "d", rel::JoinKind::kLeftJoin}};
   EXPECT_NE(integrate_message(spec).find("disconnected"), std::string::npos);
 
-  // Declared source reached by no edge.
-  spec.sources = {"a", "b", "ghost"};
-  spec.edges = {{"a", "b", rel::JoinKind::kLeftJoin}};
-  EXPECT_NE(
-      integrate_message(spec).find("source 'ghost' appears in no edge"),
-      std::string::npos);
-
   // Two parents of a *fact shard* (a union-edge child). A diamond over a
   // dimension — a conformed dimension — is legal since the DAG
   // generalization; a multi-parent fact is not.
-  spec.sources.clear();
   spec.edges = {{"a", "b", rel::JoinKind::kUnion},
                 {"a", "c", rel::JoinKind::kLeftJoin},
                 {"c", "b", rel::JoinKind::kLeftJoin}};
@@ -524,60 +465,28 @@ TEST(AmalurTest, GraphSpecValidationReportsPreciseErrors) {
                 "only valid on single-edge (pairwise) specs"),
             std::string::npos);
 
-  // star_base belongs to the flat form.
-  spec.edges = {{"a", "b", rel::JoinKind::kLeftJoin}};
-  spec.star_base = "a";
-  EXPECT_NE(integrate_message(spec).find("star_base applies to the flat"),
-            std::string::npos);
-
   // Edge endpoints that pass validation but are not registered sources
   // surface as NotFound from the catalog.
-  spec.star_base.clear();
-  spec.edges = {{"a", "b", rel::JoinKind::kLeftJoin}};
+  integration::RunningExample ex = integration::MakeRunningExample();
+  ASSERT_TRUE(amalur.catalog()->RegisterSource({"S1", ex.s1, "", false}).ok());
+  spec.edges = {{"S1", "S9", rel::JoinKind::kInnerJoin}};
   EXPECT_TRUE(amalur.Integrate(spec).status().IsNotFound());
-}
 
-TEST(AmalurTest, EdgeListPairwiseSpecMatchesLegacyForm) {
-  rel::SiloPairSpec pair_spec;
-  pair_spec.kind = rel::JoinKind::kLeftJoin;
-  pair_spec.base_rows = 80;
-  pair_spec.other_rows = 20;
-  pair_spec.base_features = 2;
-  pair_spec.other_features = 3;
-  pair_spec.seed = 21;
-  rel::SiloPair pair = rel::GenerateSiloPair(pair_spec);
-
-  Amalur amalur;
+  // A union needs overlapping columns to merge: disjoint schemas are a
+  // precondition failure, not an empty match.
+  rel::Table unrelated("U");
+  ASSERT_TRUE(unrelated
+                  .AddColumn(rel::Column::FromDoubles("glucose",
+                                                      {1000.5, 1200.25}))
+                  .ok());
   ASSERT_TRUE(
-      amalur.catalog()->RegisterSource({"S1", pair.base, "", false}).ok());
-  ASSERT_TRUE(
-      amalur.catalog()->RegisterSource({"S2", pair.other, "", false}).ok());
-
-  IntegrationSpec legacy;
-  legacy.sources = {"S1", "S2"};
-  legacy.relationships = {rel::JoinKind::kLeftJoin};
-  auto from_legacy = amalur.Integrate(legacy);
-  ASSERT_TRUE(from_legacy.ok()) << from_legacy.status();
-
-  IntegrationSpec edge_form;
-  edge_form.edges = {{"S1", "S2", rel::JoinKind::kLeftJoin}};
-  auto from_edges = amalur.Integrate(edge_form);
-  ASSERT_TRUE(from_edges.ok()) << from_edges.status();
-
-  // Both forms lower to the same normalized graph and derive identically.
-  EXPECT_EQ(from_legacy->shape, metadata::IntegrationShape::kPairwise);
-  EXPECT_EQ(from_edges->shape, from_legacy->shape);
-  ASSERT_EQ(from_legacy->edges.size(), 1u);
-  EXPECT_EQ(from_legacy->edges[0].left, "S1");
-  EXPECT_EQ(from_legacy->edges[0].right, "S2");
-  EXPECT_EQ(from_legacy->edges[0].kind, rel::JoinKind::kLeftJoin);
-  EXPECT_EQ(from_edges->source_names, from_legacy->source_names);
-  EXPECT_EQ(from_edges->metadata.MaterializeTargetMatrix().MaxAbsDiff(
-                from_legacy->metadata.MaterializeTargetMatrix()),
-            0.0);
-  // Explain leads with the graph shape.
-  EXPECT_NE(amalur.Explain(*from_edges).explanation.find(
-                "graph shape: pairwise"),
+      amalur.catalog()->RegisterSource({"U", unrelated, "", false}).ok());
+  spec.edges = {{"S1", "U", rel::JoinKind::kUnion}};
+  auto disjoint_union = amalur.Integrate(spec);
+  EXPECT_TRUE(disjoint_union.status().IsFailedPrecondition())
+      << disjoint_union.status();
+  EXPECT_NE(disjoint_union.status().message().find(
+                "a union edge needs overlapping columns"),
             std::string::npos);
 }
 
@@ -642,9 +551,9 @@ TEST(AmalurTest, InSampleServingRoutesThroughFactorizedRuntime) {
   EXPECT_TRUE(empty.Evaluate().status().IsFailedPrecondition());
 }
 
-TEST(AmalurTest, StarBaseReordersSources) {
-  // Naming a star base rotates it to the front: the spec below is the same
-  // scenario as {base, dim} with a left join.
+TEST(AmalurTest, EdgeParentIsTheBaseWhateverTheRegistrationOrder) {
+  // The edge's left source is the base even when it was registered last:
+  // source order follows the graph, not the catalog.
   rel::SiloPairSpec pair_spec;
   pair_spec.kind = rel::JoinKind::kLeftJoin;
   pair_spec.base_rows = 60;
@@ -661,9 +570,7 @@ TEST(AmalurTest, StarBaseReordersSources) {
       amalur.catalog()->RegisterSource({"base", pair.base, "", false}).ok());
 
   IntegrationSpec spec;
-  spec.sources = {"dim", "base"};  // wrong order on purpose
-  spec.relationships = {rel::JoinKind::kLeftJoin};
-  spec.star_base = "base";
+  spec.edges = {{"base", "dim", rel::JoinKind::kLeftJoin}};
   auto integration = amalur.Integrate(spec);
   ASSERT_TRUE(integration.ok()) << integration.status();
   EXPECT_EQ(integration->source_names,

@@ -80,6 +80,14 @@ TEST(DiMetadataTest, MaterializedTargetMatchesFigure4) {
   DiMetadata md = DeriveRunningExample();
   EXPECT_TRUE(
       md.MaterializeTargetMatrix().ApproxEquals(RunningExampleTargetMatrix()));
+  // Bit for bit the definition T = Σ_k T_k ∘ R_k, summed in source order.
+  la::DenseMatrix by_definition(md.target_rows(), md.target_cols());
+  for (size_t k = 0; k < md.num_sources(); ++k) {
+    la::DenseMatrix t_k = md.SourceContribution(k);
+    md.source(k).redundancy.ApplyInPlace(&t_k);
+    by_definition.AddInPlace(t_k);
+  }
+  EXPECT_TRUE(md.MaterializeTargetMatrix() == by_definition);
 }
 
 TEST(DiMetadataTest, NaiveAdditionWouldBeWrong) {

@@ -81,16 +81,6 @@ TEST(FactorizedFeaturesTest, LabelsMatchTargetColumn) {
   }
 }
 
-TEST(FactorizedFeaturesTest, NoLabelViewExposesAllColumns) {
-  auto table = MakeTable(6);
-  FactorizedFeatures all(table, FactorizedFeatures::kNoLabel);
-  EXPECT_EQ(all.cols(), table->cols());
-  la::DenseMatrix t = table->Materialize();
-  Rng rng(2);
-  la::DenseMatrix x = la::DenseMatrix::RandomGaussian(all.cols(), 2, &rng);
-  EXPECT_LT(all.LeftMultiply(x).MaxAbsDiff(t.Multiply(x)), 1e-10);
-}
-
 TEST(FactorizedFeaturesTest, MiddleLabelColumnHandled) {
   auto table = MakeTable(7);
   const size_t label = 2;  // not the first column

@@ -68,8 +68,7 @@ TEST(SystemTest, AllThreeStrategiesAgreeOnOneScenario) {
   ASSERT_TRUE(
       system.catalog()->RegisterSource({"b", pair.other, "", false}).ok());
   core::IntegrationSpec integration_spec;
-  integration_spec.sources = {"a", "b"};
-  integration_spec.relationships = {rel::JoinKind::kInnerJoin};
+  integration_spec.edges = {{"a", "b", rel::JoinKind::kInnerJoin}};
   auto integration = system.Integrate(integration_spec);
   ASSERT_TRUE(integration.ok()) << integration.status();
 
@@ -283,10 +282,14 @@ TEST(SystemTest, StarFacadeMatchesHandBuiltDerivation) {
   star::RegisterStarSources(&system, fixture);
   core::IntegrationSpec spec;
   spec.name = "visits-star";
-  spec.sources = {"visits", "patients", "clinics"};
-  spec.relationships = {rel::JoinKind::kLeftJoin};
+  spec.edges = {{"visits", "patients", rel::JoinKind::kLeftJoin},
+                {"visits", "clinics", rel::JoinKind::kLeftJoin}};
   auto integration = system.Integrate(spec);
   ASSERT_TRUE(integration.ok()) << integration.status();
+  EXPECT_EQ(integration->shape, metadata::IntegrationShape::kStar);
+  EXPECT_NE(
+      system.Explain(*integration).explanation.find("graph shape: star"),
+      std::string::npos);
 
   const metadata::DiMetadata& derived = integration->metadata;
   ASSERT_EQ(derived.num_sources(), reference.num_sources());
@@ -325,8 +328,8 @@ TEST(SystemTest, StarFacadeMergesOverlappingDimensionFeature) {
   core::Amalur system;
   star::RegisterStarSources(&system, fixture);
   core::IntegrationSpec spec;
-  spec.sources = {"visits", "patients", "clinics"};
-  spec.relationships = {rel::JoinKind::kLeftJoin};
+  spec.edges = {{"visits", "patients", rel::JoinKind::kLeftJoin},
+                {"visits", "clinics", rel::JoinKind::kLeftJoin}};
   auto integration = system.Integrate(spec);
   ASSERT_TRUE(integration.ok()) << integration.status();
 
@@ -358,8 +361,8 @@ TEST(SystemTest, StarFacadeTrainsPredictsEvaluatesUnderBothStrategies) {
   star::RegisterStarSources(&system, fixture);
 
   core::IntegrationSpec spec;
-  spec.sources = {"visits", "patients", "clinics"};
-  spec.relationships = {rel::JoinKind::kLeftJoin};
+  spec.edges = {{"visits", "patients", rel::JoinKind::kLeftJoin},
+                {"visits", "clinics", rel::JoinKind::kLeftJoin}};
   auto integration = system.Integrate(spec);
   ASSERT_TRUE(integration.ok()) << integration.status();
 
@@ -405,40 +408,6 @@ TEST(SystemTest, StarFacadeTrainsPredictsEvaluatesUnderBothStrategies) {
   // Both trained models are in the catalog model zoo.
   EXPECT_EQ(system.catalog()->ModelNames(),
             (std::vector<std::string>{"star-fact", "star-mat"}));
-}
-
-TEST(SystemTest, StarEdgeListSpecMatchesLegacyForm) {
-  // The same star, described once with the flat sources list and once with
-  // an explicit edge list, derives identical metadata and reports the star
-  // shape either way.
-  star::StarFixture fixture = star::MakeStar(250, 505);
-  core::Amalur legacy_system;
-  star::RegisterStarSources(&legacy_system, fixture);
-  core::Amalur edge_system;
-  star::RegisterStarSources(&edge_system, fixture);
-
-  core::IntegrationSpec legacy;
-  legacy.sources = {"visits", "patients", "clinics"};
-  legacy.relationships = {rel::JoinKind::kLeftJoin};
-  auto from_legacy = legacy_system.Integrate(legacy);
-  ASSERT_TRUE(from_legacy.ok()) << from_legacy.status();
-
-  core::IntegrationSpec edge_form;
-  edge_form.edges = {{"visits", "patients", rel::JoinKind::kLeftJoin},
-                     {"visits", "clinics", rel::JoinKind::kLeftJoin}};
-  auto from_edges = edge_system.Integrate(edge_form);
-  ASSERT_TRUE(from_edges.ok()) << from_edges.status();
-
-  EXPECT_EQ(from_edges->shape, metadata::IntegrationShape::kStar);
-  EXPECT_EQ(from_edges->source_names, from_legacy->source_names);
-  EXPECT_EQ(from_edges->metadata.target_schema().Names(),
-            from_legacy->metadata.target_schema().Names());
-  EXPECT_EQ(from_edges->metadata.MaterializeTargetMatrix().MaxAbsDiff(
-                from_legacy->metadata.MaterializeTargetMatrix()),
-            0.0);
-  EXPECT_NE(
-      edge_system.Explain(*from_edges).explanation.find("graph shape: star"),
-      std::string::npos);
 }
 
 TEST(SystemTest, SnowflakeEdgeListEndToEnd) {
@@ -760,8 +729,8 @@ TEST(SystemTest, PrivacyConstrainedStarTrainsNarySilos) {
   AMALUR_CHECK_OK(constrained.catalog()->RegisterSource(
       {"clinics", fixture.clinics, "geo", /*privacy_sensitive=*/true}));
   core::IntegrationSpec spec;
-  spec.sources = {"visits", "patients", "clinics"};
-  spec.relationships = {rel::JoinKind::kLeftJoin};
+  spec.edges = {{"visits", "patients", rel::JoinKind::kLeftJoin},
+                {"visits", "clinics", rel::JoinKind::kLeftJoin}};
   auto integration = constrained.Integrate(spec);
   ASSERT_TRUE(integration.ok()) << integration.status();
   EXPECT_TRUE(integration->privacy_constrained);
