@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <utility>
 
 #include "common/status.h"
 #include "common/stopwatch.h"
@@ -76,15 +77,19 @@ Result<TrainOutcome> Executor::Run(const metadata::DiMetadata& metadata,
       break;
     }
     case ExecutionStrategy::kMaterialize: {
-      const la::DenseMatrix target = metadata.MaterializeTargetMatrix();
-      std::vector<size_t> feature_cols;
-      for (size_t j = 0; j < target.cols(); ++j) {
-        if (j != *label_index) feature_cols.push_back(j);
+      la::DenseMatrix feature_data, labels;
+      {
+        // Scoped so the rT × cT target is freed before training starts.
+        const la::DenseMatrix target = metadata.MaterializeTargetMatrix();
+        std::vector<size_t> feature_cols;
+        for (size_t j = 0; j < target.cols(); ++j) {
+          if (j != *label_index) feature_cols.push_back(j);
+        }
+        feature_data = target.SelectColumns(feature_cols);
+        labels = target.SelectColumns({*label_index});
       }
-      ml::MaterializedMatrix features(target.SelectColumns(feature_cols));
-      ml::MaterializedMatrix label_view(target.SelectColumns({*label_index}));
-      ml::LinearModel model =
-          TrainOver(features, label_view.data(), request);
+      ml::MaterializedMatrix features(std::move(feature_data));
+      ml::LinearModel model = TrainOver(features, labels, request);
       outcome.weights = std::move(model.weights);
       outcome.loss_history = std::move(model.loss_history);
       break;

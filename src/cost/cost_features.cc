@@ -1,7 +1,5 @@
 #include "cost/cost_features.h"
 
-#include <map>
-#include <set>
 #include <sstream>
 
 namespace amalur {
@@ -34,23 +32,11 @@ CostFeatures CostFeatures::FromMetadata(const metadata::DiMetadata& metadata) {
     sf.contributed_rows = s.indicator.ContributedRows();
     sf.redundant_cells = s.redundancy.RedundantCellCount();
     sf.null_ratio = s.null_ratio;
-    sf.duplicate_ratio = s.duplicate_ratio;
-    // Replay the factorized planner's class construction to count the
-    // fan-out-deduplicated compute cells.
-    const size_t mapped_cols = s.mapping.MappedTargetColumns().size();
-    std::map<int32_t, std::set<size_t>> unique_rows_per_class;
-    for (size_t i = 0; i < metadata.target_rows(); ++i) {
-      const int64_t row = s.indicator.At(i);
-      if (row < 0) continue;
-      unique_rows_per_class[s.redundancy.row_set(i)].insert(
-          static_cast<size_t>(row));
-    }
-    for (const auto& [set_id, unique_rows] : unique_rows_per_class) {
-      const size_t masked =
-          set_id < 0
-              ? 0
-              : s.redundancy.column_sets()[static_cast<size_t>(set_id)].size();
-      sf.compute_cells += unique_rows.size() * (mapped_cols - masked);
+    // The factorized planner's row classes: each class touches its unique
+    // source rows once, over the columns its redundancy set leaves unmasked.
+    for (const metadata::RowClass& row_class : s.RowClasses()) {
+      sf.compute_cells += row_class.unique_source_rows.size() *
+                          s.AllowedColumns(row_class.set_id).dk_cols.size();
     }
     features.sources.push_back(sf);
   }
@@ -109,7 +95,7 @@ std::string CostFeatures::ToString() const {
     const SourceFeatures& s = sources[k];
     out << "; S" << k + 1 << " " << s.rows << "x" << s.cols << " contrib="
         << s.contributed_rows << " redundant=" << s.redundant_cells
-        << " null=" << s.null_ratio << " dup=" << s.duplicate_ratio;
+        << " null=" << s.null_ratio;
   }
   out << "]";
   return out.str();

@@ -36,7 +36,6 @@ struct SourceFeatures {
   /// kernels actually touch.
   size_t compute_cells = 0;
   double null_ratio = 0.0;
-  double duplicate_ratio = 0.0;
 
   /// Cells this source actually contributes to the target after masking
   /// (target-level, fan-out NOT deduplicated — the materialized view).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "common/status.h"
 #include "common/string_util.h"
@@ -159,10 +160,11 @@ Result<rel::RowMatching> ResolveEntities(
   return matching;
 }
 
-std::vector<size_t> DeduplicateRows(const rel::Table& table,
-                                    const std::vector<size_t>& columns) {
-  std::unordered_map<std::string, size_t> first_seen;
-  std::vector<size_t> cluster(table.NumRows());
+double DuplicateRatio(const rel::Table& table,
+                      const std::vector<size_t>& columns) {
+  if (table.NumRows() == 0) return 0.0;
+  std::unordered_set<std::string> seen;
+  size_t duplicates = 0;
   for (size_t row = 0; row < table.NumRows(); ++row) {
     std::string key;
     bool all_null = true;
@@ -172,23 +174,8 @@ std::vector<size_t> DeduplicateRows(const rel::Table& table,
       key += v.ToString();
       key.push_back('\x1f');
     }
-    if (all_null) {
-      cluster[row] = row;  // no evidence of duplication
-      continue;
-    }
-    auto [it, inserted] = first_seen.try_emplace(key, row);
-    cluster[row] = it->second;
-  }
-  return cluster;
-}
-
-double DuplicateRatio(const rel::Table& table,
-                      const std::vector<size_t>& columns) {
-  if (table.NumRows() == 0) return 0.0;
-  const std::vector<size_t> clusters = DeduplicateRows(table, columns);
-  size_t duplicates = 0;
-  for (size_t row = 0; row < clusters.size(); ++row) {
-    duplicates += clusters[row] != row ? 1 : 0;
+    // An all-NULL row is no evidence of duplication.
+    if (!all_null && !seen.insert(std::move(key)).second) ++duplicates;
   }
   return static_cast<double>(duplicates) / static_cast<double>(table.NumRows());
 }

@@ -52,13 +52,10 @@ Result<std::vector<EntityMatch>> ResolveEntityPairs(
     const std::vector<ColumnMatch>& column_matches,
     const EntityResolverOptions& options = {});
 
-/// Exact-duplicate detection within one table over the given columns:
-/// returns for each row the id of its duplicate cluster (cluster id = lowest
-/// member row). Rows with NULL in all key columns are their own cluster.
-std::vector<size_t> DeduplicateRows(const rel::Table& table,
-                                    const std::vector<size_t>& columns);
-
-/// Fraction of rows that are duplicates of an earlier row (0 = all distinct).
+/// Fraction of rows that repeat an earlier row exactly over `columns`
+/// (0 = all distinct); rows NULL in every one of `columns` never count.
+/// No library step calls this: the cost model reads no duplicate statistic.
+/// It stays as the end-to-end benchmark's traced entity-resolution probe.
 double DuplicateRatio(const rel::Table& table, const std::vector<size_t>& columns);
 
 }  // namespace integration

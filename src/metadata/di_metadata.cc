@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/status.h"
-#include "integration/entity_resolution.h"
 
 namespace amalur {
 namespace metadata {
@@ -73,8 +72,7 @@ Status FillSources(const integration::SchemaMapping& mapping,
         mappings[k],
         indicators[k],
         RedundancyMask::Derive(k, indicators, mappings),
-        tables[k]->Project(schema_cols[k]).NullRatio(),
-        integration::DuplicateRatio(*tables[k], schema_cols[k]),
+        tables[k]->NullRatio(schema_cols[k]),
     };
     sources->push_back(std::move(source));
   }
@@ -567,8 +565,7 @@ std::string DiMetadata::ToString() const {
     const SourceMetadata& s = sources_[k];
     out << "  " << s.name << ": D " << s.data.rows() << "x" << s.data.cols()
         << ", " << s.mapping.ToString() << ", TR=" << TupleRatio(k)
-        << ", FR=" << FeatureRatio(k) << ", null=" << s.null_ratio
-        << ", dup=" << s.duplicate_ratio << "\n";
+        << ", FR=" << FeatureRatio(k) << ", null=" << s.null_ratio << "\n";
   }
   return out.str();
 }

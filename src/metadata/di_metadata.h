@@ -93,9 +93,6 @@ struct SourceMetadata {
   RedundancyMask redundancy;
   /// NULL fraction over the mapped columns (cost-model feature).
   double null_ratio = 0.0;
-  /// Within-source exact-duplicate fraction over mapped columns
-  /// (cost-model feature: "redundancy in source tables").
-  double duplicate_ratio = 0.0;
 
   /// The source's row classes, one per redundancy set id in use, ascending
   /// (−1 first). With `ignore_redundancy` every contributing target row

@@ -64,8 +64,8 @@ class Table {
   /// New table with the given rows (kNullRow emits an all-NULL row).
   Table GatherRows(const std::vector<size_t>& rows) const;
 
-  /// Overall fraction of NULL cells.
-  double NullRatio() const;
+  /// Fraction of NULL cells over the given columns.
+  double NullRatio(const std::vector<size_t>& column_indices) const;
 
   /// Converts the given columns (must be numeric) to a dense matrix.
   /// NULL cells become `null_substitute` — the convention the paper's data

@@ -67,19 +67,22 @@ Result<std::shared_ptr<DeployedModel>> DeployedModel::Create(
   out->partials_ =
       factorized::PartialScores::Extract(*metadata, out->target_weights_);
 
-  // Labels are the scores of the label selector — bitwise-equal to the LMM
-  // `FactorizedFeatures::Labels` runs (see `PartialScores`).
-  la::DenseMatrix selector(cols, 1);
-  selector.At(label, 0) = 1.0;
-  const factorized::PartialScores label_scores =
-      factorized::PartialScores::Extract(*metadata, selector);
-  out->labels_ = la::DenseMatrix(label_scores.rows(), 1);
-  common::ParallelFor(
-      0, label_scores.rows(), kBatchGrain, [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          out->labels_.At(i, 0) = label_scores.ScoreRow(i);
-        }
-      });
+  // Labels read straight from the sources: each target row adds, sources
+  // ascending, the label cell of every source that maps the label where its
+  // redundancy mask keeps it. Those are the LMM's nonzero additions in
+  // `FactorizedFeatures::Labels`, so the labels match training's bit for bit.
+  out->labels_ = la::DenseMatrix(metadata->target_rows(), 1);
+  for (size_t k = 0; k < metadata->num_sources(); ++k) {
+    const metadata::SourceMetadata& source = metadata->source(k);
+    const int64_t d = source.mapping.At(label);
+    if (d < 0) continue;
+    for (size_t i = 0; i < metadata->target_rows(); ++i) {
+      const int64_t j = source.indicator.At(i);
+      if (j < 0 || source.redundancy.IsRedundant(i, label)) continue;
+      out->labels_.At(i, 0) += source.data.At(static_cast<size_t>(j),
+                                              static_cast<size_t>(d));
+    }
+  }
   if (options.enable_dense_scoring) {
     out->dense_target_ = metadata->MaterializeTargetMatrix();
   }

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
+#include <set>
 
 #include "cost/amalur_cost_model.h"
 #include "cost/cost_features.h"
@@ -82,6 +85,88 @@ TEST(CostFeaturesTest, ComputeCellsDeduplicateFanOut) {
   EXPECT_EQ(f.sources[1].compute_cells, 50u * f.sources[1].cols);
 }
 
+/// compute_cells counted without the planner's row classes: the distinct
+/// CI_k values per redundancy set id × the mapped columns that set leaves
+/// unmasked.
+size_t IndependentComputeCells(const metadata::SourceMetadata& s) {
+  std::map<int32_t, std::set<int64_t>> rows_per_set;
+  for (size_t i = 0; i < s.indicator.target_rows(); ++i) {
+    if (s.indicator.At(i) < 0) continue;
+    rows_per_set[s.redundancy.row_set(i)].insert(s.indicator.At(i));
+  }
+  size_t cells = 0;
+  for (const auto& [set_id, rows] : rows_per_set) {
+    size_t columns = 0;
+    for (size_t c = 0; c < s.mapping.target_cols(); ++c) {
+      if (s.mapping.At(c) < 0) continue;
+      if (set_id >= 0) {
+        const std::vector<size_t>& masked =
+            s.redundancy.column_sets()[static_cast<size_t>(set_id)];
+        if (std::count(masked.begin(), masked.end(), c) > 0) continue;
+      }
+      ++columns;
+    }
+    cells += rows.size() * columns;
+  }
+  return cells;
+}
+
+TEST(CostFeaturesTest, ComputeCellsMatchAnIndependentCountOnGeneratedGraphs) {
+  std::vector<metadata::DiMetadata> scenarios;
+  auto add = [&](Result<metadata::DiMetadata> md) {
+    ASSERT_TRUE(md.ok()) << md.status();
+    scenarios.push_back(std::move(md).ValueOrDie());
+  };
+  rel::SnowflakeSpec snowflake;
+  snowflake.fact_rows = 300;
+  snowflake.level_rows = {40, 7, 3};
+  snowflake.level_features = {2, 3, 1};
+  snowflake.seed = 3;
+  add(factorized::DeriveSnowflakeMetadata(rel::GenerateSnowflake(snowflake)));
+  rel::UnionOfStarsSpec union_of_stars;
+  union_of_stars.shards = 3;
+  union_of_stars.fact_rows = 120;
+  union_of_stars.dim_rows = 17;
+  union_of_stars.seed = 4;
+  add(factorized::DeriveUnionOfStarsMetadata(
+      rel::GenerateUnionOfStars(union_of_stars)));
+  rel::ConformedSnowflakeSpec conformed;
+  conformed.fact_rows = 200;
+  conformed.branches = 3;
+  conformed.branch_rows = 30;
+  conformed.shared_rows = 6;
+  conformed.match_fraction = 0.8;
+  conformed.seed = 5;
+  const rel::ConformedSnowflake conformed_graph =
+      rel::GenerateConformedSnowflake(conformed);
+  add(factorized::DeriveConformedSnowflakeMetadata(conformed_graph));
+  add(factorized::DeriveConformedSnowflakeMetadata(conformed_graph,
+                                                   /*inner_branches=*/1));
+  // A fan-out pair with shared columns, so some row classes mask columns.
+  rel::SiloPairSpec pair;
+  pair.base_rows = 400;
+  pair.other_rows = 30;
+  pair.base_features = 2;
+  pair.other_features = 5;
+  pair.shared_features = 2;
+  pair.match_fraction = 0.7;
+  pair.seed = 6;
+  add(factorized::DerivePairMetadata(rel::GenerateSiloPair(pair)));
+  ASSERT_EQ(scenarios.size(), 5u);
+  ASSERT_GT(scenarios.back().source(1).redundancy.RedundantCellCount(), 0u);
+
+  for (const metadata::DiMetadata& md : scenarios) {
+    const CostFeatures f = CostFeatures::FromMetadata(md);
+    ASSERT_EQ(f.sources.size(), md.num_sources());
+    for (size_t k = 0; k < md.num_sources(); ++k) {
+      EXPECT_EQ(f.sources[k].compute_cells,
+                IndependentComputeCells(md.source(k)))
+          << metadata::IntegrationShapeToString(md.shape()) << " source "
+          << k;
+    }
+  }
+}
+
 TEST(MorpheusHeuristicTest, FactorizesHighTupleAndFeatureRatio) {
   CostFeatures f = FeaturesFor(HighRedundancySpec());
   MorpheusHeuristic heuristic;
@@ -98,15 +183,14 @@ TEST(MorpheusHeuristicTest, MaterializesLowRatios) {
 
 TEST(MorpheusHeuristicTest, BlindToRedundancyMetadata) {
   // The heuristic reads only the shape ratios: zeroing out or inflating the
-  // DI-metadata signals (overlap cells, duplicates, nulls) cannot change its
-  // decision, while the Amalur model reacts to the same change.
+  // DI-metadata signals (overlap cells, nulls) cannot change its decision,
+  // while the Amalur model reacts to the same change.
   CostFeatures f = FeaturesFor(HighRedundancySpec());
   MorpheusHeuristic heuristic;
   const Strategy before = heuristic.Decide(f);
   CostFeatures perturbed = f;
   for (SourceFeatures& s : perturbed.sources) {
     s.redundant_cells = s.contributed_rows * s.cols / 2;
-    s.duplicate_ratio = 0.9;
     s.null_ratio = 0.9;
   }
   EXPECT_EQ(heuristic.Decide(perturbed), before);

@@ -131,28 +131,27 @@ TEST(EntityResolutionTest, RejectsOutOfRangeColumns) {
                   .IsOutOfRange());
 }
 
-TEST(DeduplicateRowsTest, ExactDuplicatesCluster) {
+TEST(DuplicateRatioTest, CountsRowsRepeatingAnEarlierRow) {
   rel::Table t("D");
   AMALUR_CHECK_OK(
       t.AddColumn(rel::Column::FromStrings("n", {"a", "b", "a", "a"})));
   AMALUR_CHECK_OK(t.AddColumn(rel::Column::FromInt64s("v", {1, 2, 1, 9})));
-  auto clusters = DeduplicateRows(t, {0, 1});
-  EXPECT_EQ(clusters, (std::vector<size_t>{0, 1, 0, 3}));
+  // Row 2 repeats row 0; row 3 differs in v.
   EXPECT_DOUBLE_EQ(DuplicateRatio(t, {0, 1}), 0.25);
+  // Over n alone, rows 2 and 3 both repeat row 0.
+  EXPECT_DOUBLE_EQ(DuplicateRatio(t, {0}), 0.5);
 }
 
-TEST(DeduplicateRowsTest, AllNullRowsAreNotDuplicates) {
+TEST(DuplicateRatioTest, AllNullRowsAreNotDuplicates) {
   rel::Table t("D");
   rel::Column c("n", rel::DataType::kString);
   c.AppendNull();
   c.AppendNull();
   AMALUR_CHECK_OK(t.AddColumn(std::move(c)));
-  auto clusters = DeduplicateRows(t, {0});
-  EXPECT_EQ(clusters, (std::vector<size_t>{0, 1}));
   EXPECT_DOUBLE_EQ(DuplicateRatio(t, {0}), 0.0);
 }
 
-TEST(DeduplicateRowsTest, GeneratorDuplicatesDetected) {
+TEST(DuplicateRatioTest, GeneratorDuplicatesDetected) {
   rel::SiloPairSpec spec;
   spec.base_rows = 10;
   spec.other_rows = 100;

@@ -150,7 +150,9 @@ TEST(TableTest, NullRatio) {
   b.AppendNull();
   b.AppendNull();
   AMALUR_CHECK_OK(t.AddColumn(std::move(b)));
-  EXPECT_DOUBLE_EQ(t.NullRatio(), 0.75);
+  EXPECT_DOUBLE_EQ(t.NullRatio({0, 1}), 0.75);
+  EXPECT_DOUBLE_EQ(t.NullRatio({0}), 0.5);
+  EXPECT_DOUBLE_EQ(t.NullRatio({}), 0.0);
 }
 
 }  // namespace

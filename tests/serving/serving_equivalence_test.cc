@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/amalur.h"
+#include "ml/metrics.h"
 #include "relational/generator.h"
 #include "serving/deployed_model.h"
 #include "serving/model_registry.h"
@@ -208,6 +209,16 @@ TEST(ServingEquivalenceTest, BatchedFactorizedMatchesDenseOnAllScenarios) {
     auto in_sample = model->Predict();
     ASSERT_TRUE(in_sample.ok()) << in_sample.status();
     EXPECT_EQ(*factorized, *in_sample);
+
+    // The deployed labels are the materialized target's label column bit
+    // for bit: the evaluation MSE equals the one computed against it.
+    const metadata::DiMetadata& md = scenario.integration.metadata;
+    const la::DenseMatrix target = md.MaterializeTargetMatrix();
+    const size_t label = *md.target_schema().IndexOf("y");
+    const la::DenseMatrix labels = target.SelectColumns({label});
+    auto report = (*deployed)->EvaluateBatch(batch);
+    ASSERT_TRUE(report.ok()) << report.status();
+    EXPECT_EQ(report->mse, ml::MeanSquaredError(*factorized, labels));
   }
 }
 
